@@ -12,20 +12,16 @@ from .errors import (
     CheckpointFormatError,
 )
 from .tensor import Tensor, matmul, relu, sigmoid, concat_features, mse
-from .optim import SgdSchedule, sgd_step, Adam, zero_grads
+from .optim import SgdSchedule, SGD, Adam
 from .gradcheck import GradCheckReport, grad_check
-from .checkpoint import save_checkpoint, load_checkpoint
+from .checkpoint import save_checkpoint, load_checkpoint, load_state
 from .keypoints import (
     NUM_HAND_NODES, NUM_OBJECT_NODES, NUM_NODES, KeypointGraph, default_graph,
 )
 from .adjacency import normalize_adjacency, initial_adjacency, ADJACENCY_INIT_VARIANTS
-from .layers import (
-    AdaptiveGraphConvLayer, GraphPoolLayer, GraphUnpoolLayer, GPoolLayer,
-    FixedPoolLayer, FixedUnpoolLayer, agc_forward, pool_forward,
-    unpool_forward, gpool_forward, fixed_pool_forward,
-)
+from .layers import AdaptiveGraphConvLayer, NodeMap, GPoolLayer, partition_matrix
 from .unet import (
-    UNetConfig, GraphUNetModel, unet_forward, build_default_unet,
+    UNetConfig, GraphUNetModel, build_default_unet,
     DEFAULT_UNET_PARAM_COUNT, POOLING_VARIANTS,
 )
 from .hand import HandPoseParams, forward_kinematics
@@ -35,7 +31,7 @@ from .synth import (
 )
 from .pipeline import (
     HopeLossWeights, PipelineConfig, StubFeatureProvider, RefineNet,
-    HopePipeline, stub_encode, refine2d, hope_loss, hope_loss_terms, predict,
+    HopePipeline, hope_loss, hope_loss_terms, predict,
 )
 from .training import (
     TrainConfig, TrainingLog, train, train_unet_stage2, stage_schedule,

@@ -11,47 +11,14 @@ an initial kernel from a fixed graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, DomainError
 from .keypoints import NUM_NODES, default_graph
 
-__all__ = ["AdjacencyMatrix", "normalize_adjacency", "initial_adjacency",
-           "ADJACENCY_INIT_VARIANTS"]
+__all__ = ["normalize_adjacency", "initial_adjacency", "ADJACENCY_INIT_VARIANTS"]
 
 ADJACENCY_INIT_VARIANTS = ("zeros", "random", "ones", "skeleton", "identity")
-
-
-@dataclass
-class AdjacencyMatrix:
-    """A square node-to-node kernel; trainable ones are wrapped in Tensors
-    by the layers, this type carries plain values."""
-
-    entries: np.ndarray
-    trainable: bool = False
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.float64)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise DimensionError(f"adjacency must be square, got shape {self.entries.shape}")
-        if not np.all(np.isfinite(self.entries)):
-            raise DomainError("adjacency entries must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-def _as_square(raw) -> np.ndarray:
-    if isinstance(raw, AdjacencyMatrix):
-        a = raw.entries
-    else:
-        a = np.asarray(raw, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"adjacency must be square, got shape {a.shape}")
-    return a
 
 
 def normalize_adjacency(raw) -> np.ndarray:
@@ -61,7 +28,9 @@ def normalize_adjacency(raw) -> np.ndarray:
     the inverse square root always exists.  Zero input yields the
     identity; symmetric input yields symmetric output.
     """
-    a = _as_square(raw)
+    a = np.asarray(raw, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"adjacency must be square, got shape {a.shape}")
     if np.any(a < 0):
         raise DomainError("normalize_adjacency requires non-negative entries")
     a_hat = a + np.eye(a.shape[0])

@@ -14,10 +14,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CheckpointFormatError
+from .errors import CheckpointFormatError, DimensionError
 from .tensor import Tensor
 
-__all__ = ["save_checkpoint", "load_checkpoint", "manifest_path", "blob_path"]
+__all__ = ["save_checkpoint", "load_checkpoint", "load_state", "manifest_path",
+           "blob_path"]
 
 FORMAT_VERSION = 1
 
@@ -106,3 +107,21 @@ def load_checkpoint(base: str) -> tuple[dict[str, np.ndarray], dict]:
     if not isinstance(config, dict):
         raise CheckpointFormatError("checkpoint config must be a JSON object")
     return out, config
+
+
+def load_state(model, arrays: Mapping[str, np.ndarray]) -> None:
+    """Copy arrays into model.parameters() in place, for any model kind.
+
+    The names must match exactly and every shape must agree, or a
+    DimensionError is raised.
+    """
+    params = model.parameters()
+    missing = set(params) - set(arrays)
+    extra = set(arrays) - set(params)
+    if missing or extra:
+        raise DimensionError(f"parameter names mismatch: missing {sorted(missing)}, "
+                             f"unexpected {sorted(extra)}")
+    for k, p in params.items():
+        if arrays[k].shape != p.data.shape:
+            raise DimensionError(f"parameter {k} shape {arrays[k].shape} != {p.data.shape}")
+        p.data[...] = arrays[k]

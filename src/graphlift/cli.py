@@ -22,10 +22,7 @@ from .errors import (
     DomainError, NumericError, TrainingDiverged, UsageError,
 )
 from .gradcheck import grad_check
-from .layers import (
-    AdaptiveGraphConvLayer, FixedPoolLayer, GPoolLayer, GraphPoolLayer,
-    GraphUnpoolLayer,
-)
+from .layers import AdaptiveGraphConvLayer, GPoolLayer, NodeMap, partition_matrix, uniform_init
 from .metrics import auc, curve_to_csv, default_thresholds, pcp_curve, per_joint_errors
 from .models import load_model, save_model
 from .pipeline import HopePipeline, PipelineConfig, hope_loss
@@ -274,12 +271,12 @@ def _gradcheck_cases(target: str, seed: int):
         cases.append(("adaptive_conv", lambda: mse(agc.forward(x6), t6),
                       agc.parameters()))
 
-        pool = GraphPoolLayer(6, 3, rng)
+        pool = NodeMap(uniform_init(rng, (3, 6), 6), "P")
         t3 = rng.normal(size=(3, 5))
         cases.append(("pool", lambda: mse(pool.forward(x6), t3),
                       pool.parameters()))
 
-        unpool = GraphUnpoolLayer(3, 6, rng)
+        unpool = NodeMap(uniform_init(rng, (6, 3), 3), "U")
         x3 = Tensor(rng.normal(size=(3, 5)))
         t6b = rng.normal(size=(6, 5))
         cases.append(("unpool", lambda: mse(unpool.forward(x3), t6b),
@@ -290,7 +287,7 @@ def _gradcheck_cases(target: str, seed: int):
         cases.append(("gpool", lambda: mse(gpool.forward(x6)[0], t3b),
                       gpool.parameters()))
 
-        fixed = FixedPoolLayer([[0, 1], [2, 3, 4], [5]], 6)
+        fixed = NodeMap(partition_matrix([[0, 1], [2, 3, 4], [5]], 6), "P", trainable=False)
         xf = Tensor(rng.normal(size=(6, 5)), requires_grad=True, name="x")
         tf = rng.normal(size=(3, 5))
         cases.append(("fixed_pool", lambda: mse(fixed.forward(xf), tf), {"x": xf}))

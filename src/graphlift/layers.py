@@ -1,11 +1,13 @@
-"""Graph layers: adaptive graph convolution, trainable pooling and
-unpooling over the node axis, plus the two ablation baselines (gPool
-top-k gating and fixed group-mean pooling).
+"""Graph layers: adaptive graph convolution, the node-axis map used for
+pooling and unpooling, and the gPool baseline.
 
 All layers accept node-feature tensors shaped (n, k) or batched
-(B, n, k); the node axis is always second to last.  The pooling and
-unpooling maps act on the transpose of the feature matrix, i.e. they are
-plain matrix products P @ X / U @ X along the node axis.
+(B, n, k); the node axis is always second to last.  Pooling and
+unpooling are one layer, NodeMap: the product M @ X along the node axis
+with a trainable matrix (P or U) or a constant group-mean/broadcast
+matrix from partition_matrix.  gPool (Gao & Ji, Graph U-Nets) is a
+separate layer because it gathers a data-dependent top-k subset of rows
+rather than applying a fixed-shape matrix.
 """
 
 from __future__ import annotations
@@ -18,10 +20,7 @@ from .errors import DimensionError, DomainError
 from .tensor import Tensor, matmul, relu, sigmoid
 
 __all__ = [
-    "AdaptiveGraphConvLayer", "GraphPoolLayer", "GraphUnpoolLayer",
-    "agc_forward", "pool_forward", "unpool_forward",
-    "gpool_forward", "fixed_pool_forward",
-    "GPoolLayer", "FixedPoolLayer", "FixedUnpoolLayer",
+    "AdaptiveGraphConvLayer", "NodeMap", "GPoolLayer",
     "partition_matrix", "uniform_init",
 ]
 
@@ -70,130 +69,58 @@ class AdaptiveGraphConvLayer:
         self.out_features = out_features
 
     def forward(self, x: Tensor) -> Tensor:
-        return agc_forward(self, x)
+        _check_node_features(x, self.n, "graph conv")
+        if x.shape[-1] != self.in_features:
+            raise DimensionError(
+                f"graph conv expects {self.in_features} input features, got {x.shape[-1]}"
+            )
+        y = matmul(self.A, matmul(x, self.W))
+        if self.activation == "relu":
+            y = relu(y)
+        return y
 
     def parameters(self) -> dict[str, Tensor]:
         return {"A": self.A, "W": self.W}
 
 
-def agc_forward(layer: AdaptiveGraphConvLayer, x: Tensor) -> Tensor:
-    _check_node_features(x, layer.n, "graph conv")
-    if x.shape[-1] != layer.in_features:
-        raise DimensionError(
-            f"graph conv expects {layer.in_features} input features, got {x.shape[-1]}"
-        )
-    y = matmul(layer.A, matmul(x, layer.W))
-    if layer.activation == "relu":
-        y = relu(y)
-    return y
+class NodeMap:
+    """X' = M @ X along the node axis, M shaped (n_out, n_in).
 
+    Pooling (n_out < n_in) and unpooling (n_out > n_in) are both this
+    product.  A trainable map reports its matrix under `name` from
+    parameters(), which is how the U-Net's checkpoint names pool{i}.P and
+    unpool{i}.U arise; a fixed map (trainable=False) has no parameters.
+    """
 
-class GraphPoolLayer:
-    """Trainable node-count reduction X' = P @ X, n_out < n_in."""
-
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None = None,
-                 matrix_init: np.ndarray | None = None):
-        if not n_out < n_in:
-            raise DimensionError(f"pooling must shrink the node count, got {n_in} -> {n_out}")
-        if matrix_init is None:
-            if rng is None:
-                raise DomainError("need an rng or an explicit matrix_init")
-            matrix_init = uniform_init(rng, (n_out, n_in), n_in)
-        m = np.asarray(matrix_init, dtype=np.float64)
-        if m.shape != (n_out, n_in):
-            raise DimensionError(f"pool matrix shape {m.shape} != ({n_out}, {n_in})")
-        self.P = Tensor(m.copy(), requires_grad=True, name="P")
-        self.n_in = n_in
-        self.n_out = n_out
+    def __init__(self, matrix: np.ndarray, name: str, trainable: bool = True):
+        m = np.asarray(matrix, dtype=np.float64)
+        if m.ndim != 2:
+            raise DimensionError(f"node map {name} must be a matrix, got shape {m.shape}")
+        self.matrix = Tensor(m.copy(), requires_grad=trainable, name=name)
+        self.n_out, self.n_in = m.shape
 
     def forward(self, x: Tensor) -> Tensor:
-        return pool_forward(self, x)
+        _check_node_features(x, self.n_in, "node map")
+        return matmul(self.matrix, x)
 
     def parameters(self) -> dict[str, Tensor]:
-        return {"P": self.P}
-
-
-def pool_forward(layer: GraphPoolLayer, x: Tensor) -> Tensor:
-    _check_node_features(x, layer.n_in, "pooling")
-    return matmul(layer.P, x)
-
-
-class GraphUnpoolLayer:
-    """Trainable node-count expansion X' = U @ X, n_out > n_in."""
-
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None = None,
-                 matrix_init: np.ndarray | None = None):
-        if not n_out > n_in:
-            raise DimensionError(f"unpooling must grow the node count, got {n_in} -> {n_out}")
-        if matrix_init is None:
-            if rng is None:
-                raise DomainError("need an rng or an explicit matrix_init")
-            matrix_init = uniform_init(rng, (n_out, n_in), n_in)
-        m = np.asarray(matrix_init, dtype=np.float64)
-        if m.shape != (n_out, n_in):
-            raise DimensionError(f"unpool matrix shape {m.shape} != ({n_out}, {n_in})")
-        self.U = Tensor(m.copy(), requires_grad=True, name="U")
-        self.n_in = n_in
-        self.n_out = n_out
-
-    def forward(self, x: Tensor) -> Tensor:
-        return unpool_forward(self, x)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"U": self.U}
-
-
-def unpool_forward(layer: GraphUnpoolLayer, x: Tensor) -> Tensor:
-    _check_node_features(x, layer.n_in, "unpooling")
-    return matmul(layer.U, x)
+        if not self.matrix.requires_grad:
+            return {}
+        return {self.matrix.name: self.matrix}
 
 
 # ---- gPool baseline ------------------------------------------------------
 
 
-def _keep_count(n: int, ratio: float) -> int:
-    if not (0 < ratio < 1):
-        raise DomainError(f"pool ratio must be in (0, 1), got {ratio}")
-    # tiny slack so ratios written as j/n survive the float round trip
-    return int(math.ceil(ratio * n - 1e-9))
-
-
-def _topk_desc(scores: np.ndarray, k: int) -> np.ndarray:
-    # stable sort on negated scores: equal scores keep original order,
-    # so ties resolve to the lowest index first
-    return np.argsort(-scores, kind="stable")[:k]
-
-
-def gpool_forward(x: Tensor, projection: Tensor, ratio: float) -> tuple[Tensor, np.ndarray]:
-    """Top-k gated pooling: scores y = X p / |p|, keep the ceil(ratio*n)
-    best-scoring nodes, scale each kept row by sigmoid(score).
-
-    Returns the pooled rows (in score-descending order) and the selected
-    node indices.  Single-sample layout only; the batched variant lives
-    in GPoolLayer.
-    """
-    if x.ndim != 2:
-        raise DimensionError(f"gpool_forward expects (n, k) input, got shape {x.shape}")
-    p = projection if isinstance(projection, Tensor) else Tensor(projection)
-    if p.ndim == 1:
-        p = p.reshape(p.shape[0], 1)
-    if p.shape != (x.shape[-1], 1):
-        raise DimensionError(
-            f"projection length {p.shape} does not match feature width {x.shape[-1]}"
-        )
-    k = _keep_count(x.shape[0], ratio)
-    norm = (p * p).sum().sqrt()
-    scores = matmul(x, p) / norm                      # (n, 1)
-    idx = _topk_desc(scores.data[:, 0], k)
-    from .tensor import gather_nodes
-    gate = sigmoid(gather_nodes(scores, idx))         # (k, 1)
-    pooled = gather_nodes(x, idx) * gate
-    return pooled, idx
-
-
 class GPoolLayer:
-    """Batched gPool with a trainable projection vector; remembers the
-    selected indices so the decoder can scatter features back."""
+    """Top-k gated pooling with a trainable projection vector p.
+
+    Scores are y = X p / |p|; the n_out best-scoring nodes are kept in
+    score-descending order (equal scores keep the lowest index first) and
+    each kept row is scaled by sigmoid(score).  forward returns the pooled
+    rows and the selected indices, which the decoder uses to scatter
+    features back.  Accepts (n, k) or batched (B, n, k) input.
+    """
 
     def __init__(self, n_in: int, n_out: int, features: int,
                  rng: np.random.Generator | None = None,
@@ -236,7 +163,12 @@ class GPoolLayer:
 
 
 def _gather_rows_batched(x: Tensor, idx: np.ndarray) -> Tensor:
-    """out[b, i, :] = x[b, idx[b, i], :] with gradient scatter."""
+    """out[b, i, :] = x[b, idx[b, i], :] with gradient scatter.
+
+    The indices in each idx[b] must be distinct: the backward pass writes
+    with put_along_axis, which overwrites repeated rows instead of summing
+    them.  Top-k selections never repeat an index.
+    """
     idx3 = idx[:, :, None]
     data = np.take_along_axis(x.data, idx3, axis=1)
     out = Tensor._from_op(data, (x,), None)
@@ -250,7 +182,11 @@ def _gather_rows_batched(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def scatter_rows_batched(x: Tensor, idx: np.ndarray, num_nodes: int) -> Tensor:
-    """Inverse of the batched gather: place rows at idx, zeros elsewhere."""
+    """Inverse of the batched gather: place rows at idx, zeros elsewhere.
+
+    Same precondition as _gather_rows_batched: the indices in each idx[b]
+    are distinct, or put_along_axis keeps only the last row written.
+    """
     if x.ndim != 3:
         raise DimensionError(f"scatter expects batched (B, k, f) input, got {x.shape}")
     idx3 = idx[:, :, None]
@@ -265,7 +201,7 @@ def scatter_rows_batched(x: Tensor, idx: np.ndarray, num_nodes: int) -> Tensor:
     return out
 
 
-# ---- fixed group-mean baseline -------------------------------------------
+# ---- constant maps for the fixed-grouping baseline ---------------------
 
 
 def _validate_partition(grouping, n_in: int) -> list[list[int]]:
@@ -286,9 +222,10 @@ def _validate_partition(grouping, n_in: int) -> list[list[int]]:
 
 
 def partition_matrix(grouping, n_in: int, mode: str = "mean") -> np.ndarray:
-    """Constant pooling matrix for a node partition.
+    """Constant node-map matrix for a node partition.
 
-    mode 'mean': (n_groups x n_in) row per group with 1/len(group) weights.
+    mode 'mean': (n_groups x n_in) row per group with 1/len(group) weights,
+    the pooling map (each output node is its group's mean row).
     mode 'broadcast': its transpose pattern with unit weights, the matching
     unpooling map (each member copies its group's row).
     """
@@ -304,44 +241,3 @@ def partition_matrix(grouping, n_in: int, mode: str = "mean") -> np.ndarray:
             m[g, gi] = 1.0
         return m
     raise DomainError(f"unknown partition matrix mode {mode!r}")
-
-
-def fixed_pool_forward(x: Tensor, grouping) -> Tensor:
-    """Each output node is the mean of its group's feature rows."""
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    m = partition_matrix(grouping, x.shape[-2], "mean")
-    return matmul(Tensor(m), x)
-
-
-class FixedPoolLayer:
-    """Constant group-mean pooling (no trainable state)."""
-
-    def __init__(self, grouping, n_in: int):
-        self.matrix = Tensor(partition_matrix(grouping, n_in, "mean"))
-        self.n_in = n_in
-        self.n_out = self.matrix.shape[0]
-
-    def forward(self, x: Tensor) -> Tensor:
-        _check_node_features(x, self.n_in, "fixed pooling")
-        return matmul(self.matrix, x)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {}
-
-
-class FixedUnpoolLayer:
-    """Constant unpooling for a partition: every member node copies its
-    group's pooled row."""
-
-    def __init__(self, grouping, n_out: int):
-        self.matrix = Tensor(partition_matrix(grouping, n_out, "broadcast"))
-        self.n_in = self.matrix.shape[1]
-        self.n_out = n_out
-
-    def forward(self, x: Tensor) -> Tensor:
-        _check_node_features(x, self.n_in, "fixed unpooling")
-        return matmul(self.matrix, x)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {}

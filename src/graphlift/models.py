@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adjacency import normalize_adjacency
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, load_state, save_checkpoint
 from .errors import CheckpointFormatError, DimensionError
 from .keypoints import NUM_NODES, default_graph
 from .layers import uniform_init
@@ -44,18 +44,6 @@ class _LiftModelBase:
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters().values())
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        missing = set(params) - set(arrays)
-        extra = set(arrays) - set(params)
-        if missing or extra:
-            raise DimensionError(f"parameter names mismatch: missing {sorted(missing)}, "
-                                 f"unexpected {sorted(extra)}")
-        for k, p in params.items():
-            if arrays[k].shape != p.data.shape:
-                raise DimensionError(f"parameter {k} shape {arrays[k].shape} != {p.data.shape}")
-            p.data[...] = arrays[k]
 
 
 class FcBaselineModel(_LiftModelBase):
@@ -148,5 +136,5 @@ def load_model(base: str):
             raise CheckpointFormatError(f"checkpoint has unknown model kind {kind!r}")
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointFormatError(f"checkpoint config is malformed: {e}")
-    model.load_state(arrays)
+    load_state(model, arrays)
     return model

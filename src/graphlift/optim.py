@@ -1,21 +1,23 @@
 """Optimizers and learning-rate schedules.
 
 Parameters are plain Tensors updated in place from their .grad buffers.
-The schedule is a step decay: the rate is multiplied by a fixed factor
-every fixed number of optimizer steps.
+SGD and Adam share one surface: build with a name-to-Tensor map, then
+call step(lr) once per backward pass.  The schedule is a step decay: the
+rate is multiplied by a fixed factor every fixed number of optimizer
+steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import DomainError, UsageError
 from .tensor import Tensor
 
-__all__ = ["SgdSchedule", "sgd_step", "zero_grads", "Adam"]
+__all__ = ["SgdSchedule", "SGD", "Adam"]
 
 
 @dataclass(frozen=True)
@@ -40,45 +42,39 @@ class SgdSchedule:
         return self.initial_lr * self.decay_factor ** (step // self.decay_every)
 
 
-def _tensor_list(params) -> list[Tensor]:
-    if isinstance(params, Mapping):
-        return list(params.values())
-    if isinstance(params, Tensor):
-        return [params]
-    return list(params)
+def _check_step(kind: str, params: Mapping[str, Tensor], lr: float) -> None:
+    if not (lr > 0):
+        raise DomainError(f"learning rate must be positive, got {lr}")
+    for k, p in params.items():
+        if p.grad is None:
+            raise UsageError(f"{kind}.step: parameter {k} has no gradient; "
+                             "run backward() first")
 
 
-def zero_grads(params: Mapping[str, Tensor] | Iterable[Tensor]) -> None:
-    for p in _tensor_list(params):
-        p.grad = None
+class SGD:
+    """Vanilla gradient descent: p -= lr * p.grad.
 
-
-def sgd_step(params: Mapping[str, Tensor] | Iterable[Tensor],
-             schedule: SgdSchedule, step: int) -> None:
-    """One vanilla gradient-descent update: p -= lr(step) * p.grad.
-
-    Every parameter must carry an accumulated gradient; grads are zeroed
+    Every parameter must carry an accumulated gradient (a missing one is
+    a usage error, raised before anything is updated); grads are zeroed
     after the update.
     """
-    ts = _tensor_list(params)
-    for p in ts:
-        if p.grad is None:
-            raise UsageError(
-                f"sgd_step: parameter {p.name or '<unnamed>'} has no gradient; "
-                "run backward() first"
-            )
-    lr = schedule.lr_at(step)
-    for p in ts:
-        p.data -= lr * p.grad
-        p.grad = None
+
+    def __init__(self, params: Mapping[str, Tensor]):
+        self.params = dict(params)
+
+    def step(self, lr: float) -> None:
+        _check_step("SGD", self.params, lr)
+        for p in self.params.values():
+            p.data -= lr * p.grad
+            p.grad = None
 
 
-class Adam(object):
+class Adam:
     """Adam with bias correction, selectable instead of plain SGD.
 
     State is keyed by parameter name, so one instance must be reused for
-    the whole run.  Like sgd_step, a missing gradient is a usage error
-    and gradients are zeroed after the update.
+    the whole run.  Like SGD, a missing gradient is a usage error and
+    gradients are zeroed after the update.
     """
 
     def __init__(self, params: Mapping[str, Tensor], beta1: float = 0.9,
@@ -94,11 +90,7 @@ class Adam(object):
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def step(self, lr: float) -> None:
-        if not (lr > 0):
-            raise DomainError(f"learning rate must be positive, got {lr}")
-        for k, p in self.params.items():
-            if p.grad is None:
-                raise UsageError(f"Adam.step: parameter {k} has no gradient")
+        _check_step("Adam", self.params, lr)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t

@@ -1,4 +1,4 @@
-"""The full 2D-to-3D cascade: a stub feature provider standing in for an
+"""The full 2D-to-3D cascade: a stub feature encoder standing in for an
 image backbone, a 3-layer adaptive graph network that refines the initial
 2D estimate, and the graph U-Net that lifts 2D to 3D.
 
@@ -21,12 +21,11 @@ from .layers import AdaptiveGraphConvLayer, uniform_init
 from .keypoints import NUM_NODES
 from .synth import SampleRecord
 from .tensor import Tensor, concat_features, matmul, mse
-from .unet import GraphUNetModel, UNetConfig, unet_forward
+from .unet import GraphUNetModel, UNetConfig
 
 __all__ = [
-    "PipelineConfig", "HopeLossWeights", "FeatureProvider", "StubFeatureProvider",
-    "RefineNet", "HopePipeline", "stub_encode", "refine2d", "hope_loss",
-    "hope_loss_terms", "predict", "rasterize_keypoints",
+    "PipelineConfig", "HopeLossWeights", "StubFeatureProvider", "RefineNet",
+    "HopePipeline", "hope_loss", "hope_loss_terms", "predict", "rasterize_keypoints",
 ]
 
 
@@ -95,19 +94,9 @@ def rasterize_keypoints(coords2d, grid: int = 32, image_size: float = 640.0) -> 
     return out[0] if squeeze else out
 
 
-class FeatureProvider:
-    """Maps a sample to a 2048-long feature vector plus an initial 29x2
-    estimate.  Implementations may be trainable."""
-
-    def encode(self, sample: SampleRecord) -> tuple[Tensor, Tensor]:
-        raise NotImplementedError
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {}
-
-
-class StubFeatureProvider(FeatureProvider):
-    """Trainable linear maps over a keypoint raster: grid cells -> features
+class StubFeatureProvider:
+    """Maps a sample to a feature vector plus an initial 29x2 estimate by
+    trainable linear maps over a keypoint raster: grid cells -> features
     -> initial 2D head (with a bias so the head can shift to image scale)."""
 
     def __init__(self, config: PipelineConfig, rng: np.random.Generator):
@@ -138,11 +127,6 @@ class StubFeatureProvider(FeatureProvider):
 
     def parameters(self) -> dict[str, Tensor]:
         return {"W1": self.W1, "W2": self.W2, "b2": self.b2}
-
-
-def stub_encode(provider: FeatureProvider, sample: SampleRecord) -> tuple[Tensor, Tensor]:
-    """Feature vector (2048,) and initial 2D estimate (29, 2) for one sample."""
-    return provider.encode(sample)
 
 
 class RefineNet:
@@ -194,12 +178,8 @@ class RefineNet:
         return out
 
 
-def refine2d(refiner: RefineNet, features: Tensor, init2d: Tensor) -> Tensor:
-    return refiner.forward(features, init2d)
-
-
 class HopePipeline:
-    """stub -> refine2d -> graph U-Net, with named parameter groups for
+    """stub -> 2D refinement -> graph U-Net, with named parameter groups for
     staged training."""
 
     def __init__(self, config: PipelineConfig = PipelineConfig(), seed: int = 0):
@@ -213,7 +193,7 @@ class HopePipeline:
     def forward_batch(self, coords2d_batch) -> tuple[Tensor, Tensor, Tensor]:
         features, init2d = self.stub.encode_batch(coords2d_batch)
         refined = self.refine.forward(features, init2d)
-        pred3d = unet_forward(self.unet, refined)
+        pred3d = self.unet.forward(refined)
         return init2d, refined, pred3d
 
     def stub_refine_parameters(self) -> dict[str, Tensor]:
@@ -234,18 +214,6 @@ class HopePipeline:
 
     def config_dict(self) -> dict:
         return {"kind": "pipeline", "seed": self.seed, "pipeline": self.config.to_dict()}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        missing = set(params) - set(arrays)
-        extra = set(arrays) - set(params)
-        if missing or extra:
-            raise DimensionError(f"parameter names mismatch: missing {sorted(missing)}, "
-                                 f"unexpected {sorted(extra)}")
-        for k, p in params.items():
-            if arrays[k].shape != p.data.shape:
-                raise DimensionError(f"parameter {k} shape {arrays[k].shape} != {p.data.shape}")
-            p.data[...] = arrays[k]
 
 
 def hope_loss_terms(init2d, refined2d, pred3d, gt2d, gt3d,

@@ -12,7 +12,7 @@ operand's own shape.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +25,6 @@ __all__ = [
     "sigmoid",
     "concat_features",
     "mse",
-    "gather_nodes",
-    "scatter_nodes",
 ]
 
 
@@ -370,62 +368,4 @@ def mse(pred: Tensor, target) -> Tensor:
         def backward(g):
             pred.grad += g * scale * diff
         out._backward = backward
-    return out
-
-
-def gather_nodes(x: Tensor, indices) -> Tensor:
-    """Select rows along the node axis (second to last): out = x[..., idx, :]."""
-    x = Tensor._lift(x)
-    if x.data.ndim < 2:
-        raise DimensionError(f"gather_nodes needs a node axis, got shape {x.data.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise DimensionError("gather_nodes indices must be a flat sequence")
-    n = x.data.shape[-2]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise DomainError(f"gather_nodes index out of range for {n} nodes")
-    out = Tensor._from_op(x.data[..., idx, :], (x,), None)
-    if out.requires_grad:
-        def backward(g):
-            buf = np.zeros_like(x.data)
-            # += through fancy indexing so duplicate indices accumulate
-            np.add.at(buf, (..., idx, slice(None)), g)
-            x.grad += buf
-        out._backward = backward
-    return out
-
-
-def scatter_nodes(x: Tensor, indices, num_nodes: int) -> Tensor:
-    """Place rows of `x` at `indices` in a zero tensor with `num_nodes` rows.
-
-    Inverse of gather_nodes for distinct indices; the remaining rows stay 0.
-    """
-    x = Tensor._lift(x)
-    if x.data.ndim < 2:
-        raise DimensionError(f"scatter_nodes needs a node axis, got shape {x.data.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or idx.size != x.data.shape[-2]:
-        raise DimensionError("scatter_nodes needs one index per input row")
-    if idx.size != np.unique(idx).size:
-        raise DomainError("scatter_nodes indices must be distinct")
-    if idx.size and (idx.min() < 0 or idx.max() >= num_nodes):
-        raise DomainError(f"scatter_nodes index out of range for {num_nodes} nodes")
-    shape = x.data.shape[:-2] + (num_nodes, x.data.shape[-1])
-    buf = np.zeros(shape, dtype=np.float64)
-    buf[..., idx, :] = x.data
-    out = Tensor._from_op(buf, (x,), None)
-    if out.requires_grad:
-        def backward(g):
-            x.grad += g[..., idx, :]
-        out._backward = backward
-    return out
-
-
-def collect_parameters(named: Iterable[tuple[str, Tensor]]) -> dict[str, Tensor]:
-    """Build an ordered name-to-tensor map, rejecting duplicate names."""
-    out: dict[str, Tensor] = {}
-    for name, t in named:
-        if name in out:
-            raise DomainError(f"duplicate parameter name {name!r}")
-        out[name] = t
     return out

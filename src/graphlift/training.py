@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, TrainingDiverged
-from .optim import Adam, SgdSchedule, sgd_step
+from .optim import SGD, Adam, SgdSchedule
 from .pipeline import HopeLossWeights, HopePipeline, hope_loss_terms
 from .synth import SampleRecord, add_noise, records_to_arrays
 from .tensor import mse
@@ -123,46 +123,67 @@ class TrainingLog:
                 f.write(",".join(cells) + "\n")
 
 
-class _SgdRunner:
-    """Adapter giving plain SGD the same step(lr) surface as Adam."""
-
-    def __init__(self, params):
-        self.params = dict(params)
-
-    def step(self, lr: float) -> None:
-        sgd_step(self.params, SgdSchedule(lr), 0)
-
-
-def _make_optimizer(kind: str, params) -> object:
-    if kind == "adam":
-        return Adam(params)
-    if kind == "sgd":
-        return _SgdRunner(params)
-    raise DomainError(f"unknown optimizer {kind!r}")
-
-
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(n)
     for lo in range(0, n, batch_size):
         yield order[lo:lo + batch_size]
 
 
-def _check_finite(value: float, stage: int, step: int, log: TrainingLog) -> None:
-    if not math.isfinite(value):
-        err = TrainingDiverged(
-            f"loss became non-finite at stage {stage}, step {step}; "
-            "parameters keep their last finite values"
-        )
-        err.log = log
-        raise err
+def _run_stage(log: TrainingLog, stage: int, step: int, params, optimizer: str,
+               loss_fn, n: int, epochs: int, batch_size: int,
+               rng: np.random.Generator, schedule: SgdSchedule, on_step=None) -> None:
+    """The one optimizer loop every stage runs, numbering steps from step + 1.
+
+    loss_fn(idx) gives the scalar loss of a batch of sample indices plus
+    the log columns it fills ({column: scalar Tensor}).  The finite check
+    runs before backward and the update, so a TrainingDiverged (carrying
+    the log so far) leaves the parameters at their last finite values.
+    on_step(step, params) runs right after each backward pass, before
+    the optimizer update.
+    """
+    if optimizer not in ("adam", "sgd"):
+        raise DomainError(f"unknown optimizer {optimizer!r}")
+    opt = Adam(params) if optimizer == "adam" else SGD(params)
+    t = 0
+    for _ in range(epochs):
+        for idx in _batches(n, batch_size, rng):
+            loss, columns = loss_fn(idx)
+            value = loss.item()
+            step += 1
+            if not math.isfinite(value):
+                err = TrainingDiverged(
+                    f"loss became non-finite at stage {stage}, step {step}; "
+                    "parameters keep their last finite values"
+                )
+                err.log = log
+                raise err
+            loss.backward()
+            if on_step is not None:
+                on_step(step, params)
+            lr = schedule.lr_at(t)
+            opt.step(lr)
+            t += 1
+            log.add(step, stage, lr, total=value,
+                    **{c: v.item() for c, v in columns.items()})
+
+
+def _stage2_loss(model, gt2d: np.ndarray, gt3d: np.ndarray, noise_sigma: float,
+                 seed: int):
+    """Stage-2 batch loss: noisy gt2d -> gt3d MSE of a 2D->3D model."""
+    noise_rng = np.random.default_rng([seed, 2])
+
+    def loss_fn(idx):
+        inputs = add_noise(gt2d[idx], noise_sigma, noise_rng)
+        loss = mse(model.forward(inputs), gt3d[idx])
+        return loss, {"loss_3d": loss}
+
+    return loss_fn
 
 
 def train_unet_stage2(model, records: list[SampleRecord], epochs: int,
                       batch_size: int = 32, noise_sigma: float = 10.0,
                       optimizer: str = "adam", seed: int = 0,
-                      schedule: SgdSchedule | None = None,
-                      log: TrainingLog | None = None, start_step: int = 0,
-                      stage: int = 2, literal_steps: bool = False,
+                      schedule: SgdSchedule | None = None, start_step: int = 0,
                       on_step=None) -> TrainingLog:
     """Train a 2D->3D node model on (noisy gt2d -> gt3d) pairs.
 
@@ -172,33 +193,14 @@ def train_unet_stage2(model, records: list[SampleRecord], epochs: int,
     """
     if not records:
         raise DomainError("empty dataset")
-    if log is None:
-        log = TrainingLog()
     gt2d, gt3d = records_to_arrays(records)
     n = gt2d.shape[0]
-    steps_per_epoch = math.ceil(n / batch_size)
     if schedule is None:
-        schedule = stage_schedule(2, epochs, steps_per_epoch, literal_steps)
-    params = model.parameters()
-    opt = _make_optimizer(optimizer, params)
-    shuffle_rng = np.random.default_rng([seed, 1])
-    noise_rng = np.random.default_rng([seed, 2])
-    t = 0
-    step = start_step
-    for _ in range(epochs):
-        for idx in _batches(n, batch_size, shuffle_rng):
-            inputs = add_noise(gt2d[idx], noise_sigma, noise_rng)
-            loss = mse(model.forward(inputs), gt3d[idx])
-            value = loss.item()
-            step += 1
-            _check_finite(value, stage, step, log)
-            loss.backward()
-            if on_step is not None:
-                on_step(step, params)
-            lr = schedule.lr_at(t)
-            opt.step(lr)
-            t += 1
-            log.add(step, stage, lr, loss_3d=value, total=value)
+        schedule = stage_schedule(2, epochs, math.ceil(n / batch_size))
+    log = TrainingLog()
+    _run_stage(log, 2, start_step, model.parameters(), optimizer,
+               _stage2_loss(model, gt2d, gt3d, noise_sigma, seed), n, epochs,
+               batch_size, np.random.default_rng([seed, 1]), schedule, on_step)
     return log
 
 
@@ -218,64 +220,38 @@ def train(pipeline: HopePipeline, records: list[SampleRecord],
     literal = config.preset == "paper"
     log = TrainingLog()
     w = config.weights
-    step = 0
+
+    def run(stage, params, loss_fn, stream):
+        epochs = config.stage_epochs[stage - 1]
+        if epochs > 0:
+            # one log row per step, so the step count so far is len(log.rows)
+            _run_stage(log, stage, len(log.rows), params, config.optimizer, loss_fn,
+                       n, epochs, config.batch_size,
+                       np.random.default_rng([config.seed, stream]),
+                       stage_schedule(stage, epochs, steps_per_epoch, literal))
 
     # stage 1: stub + 2D refinement on the 2D losses
-    e1 = config.stage_epochs[0]
-    if e1 > 0:
-        params = pipeline.stub_refine_parameters()
-        opt = _make_optimizer(config.optimizer, params)
-        sched = stage_schedule(1, e1, steps_per_epoch, literal)
-        rng = np.random.default_rng([config.seed, 11])
-        t = 0
-        for _ in range(e1):
-            for idx in _batches(n, config.batch_size, rng):
-                features, init2d = pipeline.stub.encode_batch(gt2d[idx])
-                refined = pipeline.refine.forward(features, init2d)
-                l_init = mse(init2d, gt2d[idx])
-                l_2d = mse(refined, gt2d[idx])
-                loss = l_init * w.alpha + l_2d * w.beta
-                value = loss.item()
-                step += 1
-                _check_finite(value, 1, step, log)
-                loss.backward()
-                lr = sched.lr_at(t)
-                opt.step(lr)
-                t += 1
-                log.add(step, 1, lr, loss_init2d=l_init.item(), loss_2d=l_2d.item(),
-                        total=value)
+    def stage1_loss(idx):
+        features, init2d = pipeline.stub.encode_batch(gt2d[idx])
+        refined = pipeline.refine.forward(features, init2d)
+        l_init = mse(init2d, gt2d[idx])
+        l_2d = mse(refined, gt2d[idx])
+        return l_init * w.alpha + l_2d * w.beta, {"loss_init2d": l_init, "loss_2d": l_2d}
+
+    run(1, pipeline.stub_refine_parameters(), stage1_loss, 11)
 
     # stage 2: U-Net alone on noisy gt2d -> gt3d
-    e2 = config.stage_epochs[1]
-    if e2 > 0:
-        train_unet_stage2(pipeline.unet, records, e2, config.batch_size,
-                          config.noise_sigma, config.optimizer,
-                          seed=config.seed, log=log, start_step=step,
-                          literal_steps=literal)
-        step = log.rows[-1]["step"] if log.rows else step
+    run(2, pipeline.unet.parameters(),
+        _stage2_loss(pipeline.unet, gt2d, gt3d, config.noise_sigma, config.seed), 1)
 
     # stage 3: end to end on the weighted three-term loss
-    e3 = config.stage_epochs[2]
-    if e3 > 0:
-        params = pipeline.parameters()
-        opt = _make_optimizer(config.optimizer, params)
-        sched = stage_schedule(3, e3, steps_per_epoch, literal)
-        rng = np.random.default_rng([config.seed, 33])
-        t = 0
-        for _ in range(e3):
-            for idx in _batches(n, config.batch_size, rng):
-                init2d, refined, pred3d = pipeline.forward_batch(gt2d[idx])
-                total, l_init, l_2d, l_3d = hope_loss_terms(
-                    init2d, refined, pred3d, gt2d[idx], gt3d[idx], w)
-                value = total.item()
-                step += 1
-                _check_finite(value, 3, step, log)
-                total.backward()
-                lr = sched.lr_at(t)
-                opt.step(lr)
-                t += 1
-                log.add(step, 3, lr, loss_init2d=l_init.item(), loss_2d=l_2d.item(),
-                        loss_3d=l_3d.item(), total=value)
+    def stage3_loss(idx):
+        init2d, refined, pred3d = pipeline.forward_batch(gt2d[idx])
+        total, l_init, l_2d, l_3d = hope_loss_terms(
+            init2d, refined, pred3d, gt2d[idx], gt3d[idx], w)
+        return total, {"loss_init2d": l_init, "loss_2d": l_2d, "loss_3d": l_3d}
+
+    run(3, pipeline.parameters(), stage3_loss, 33)
 
     if log_path is not None:
         log.write_csv(log_path)

@@ -24,12 +24,11 @@ import numpy as np
 from .adjacency import ADJACENCY_INIT_VARIANTS, initial_adjacency
 from .errors import DimensionError, DomainError
 from .keypoints import FIXED_POOL_GROUPS, NUM_NODES
-from .layers import (AdaptiveGraphConvLayer, FixedPoolLayer, FixedUnpoolLayer,
-                     GPoolLayer, GraphPoolLayer, GraphUnpoolLayer,
-                     scatter_rows_batched)
+from .layers import (AdaptiveGraphConvLayer, GPoolLayer, NodeMap, partition_matrix,
+                     scatter_rows_batched, uniform_init)
 from .tensor import Tensor, concat_features
 
-__all__ = ["UNetConfig", "GraphUNetModel", "unet_forward", "build_default_unet",
+__all__ = ["UNetConfig", "GraphUNetModel", "build_default_unet",
            "POOLING_VARIANTS", "DEFAULT_UNET_PARAM_COUNT"]
 
 POOLING_VARIANTS = ("trainable", "gpool", "fixed")
@@ -124,20 +123,58 @@ class GraphUNetModel:
 
     def _make_pool(self, n_in, n_out, width, rng):
         if self.config.pooling == "trainable":
-            return GraphPoolLayer(n_in, n_out, rng)
+            return NodeMap(uniform_init(rng, (n_out, n_in), n_in), "P")
         if self.config.pooling == "gpool":
             return GPoolLayer(n_in, n_out, width, rng)
-        return FixedPoolLayer(FIXED_POOL_GROUPS[(n_in, n_out)], n_in)
+        groups = FIXED_POOL_GROUPS[(n_in, n_out)]
+        return NodeMap(partition_matrix(groups, n_in, "mean"), "P", trainable=False)
 
     def _make_unpool(self, n_in, n_out, rng):
         if self.config.pooling == "trainable":
-            return GraphUnpoolLayer(n_in, n_out, rng)
+            return NodeMap(uniform_init(rng, (n_out, n_in), n_in), "U")
         if self.config.pooling == "gpool":
             return None   # decoder scatters rows back to the recorded indices
-        return FixedUnpoolLayer(FIXED_POOL_GROUPS[(n_out, n_in)], n_out)
+        groups = FIXED_POOL_GROUPS[(n_out, n_in)]
+        return NodeMap(partition_matrix(groups, n_out, "broadcast"), "U", trainable=False)
 
     def forward(self, coords2d) -> Tensor:
-        return unet_forward(self, coords2d)
+        """Lift 2D pixel keypoints (29x2 or batched Bx29x2) to 3D millimeters."""
+        x = coords2d if isinstance(coords2d, Tensor) else Tensor(coords2d)
+        cfg = self.config
+        squeeze = x.ndim == 2
+        if squeeze:
+            x = x.reshape(1, *x.shape)
+        if x.ndim != 3 or x.shape[1:] != (cfg.node_schedule[0], cfg.in_features):
+            raise DimensionError(
+                f"expected input shape ({cfg.node_schedule[0]}, {cfg.in_features}) "
+                f"or batched, got {coords2d.shape if hasattr(coords2d, 'shape') else '?'}"
+            )
+        ones = Tensor(np.ones((x.shape[0], cfg.node_schedule[0], 1)))
+        h = concat_features([(x - cfg.input_center) * (1.0 / cfg.input_scale), ones])
+        skips = []
+        pool_indices = []
+        levels = len(cfg.node_schedule) - 1
+        for i in range(levels):
+            h = self.enc_convs[i].forward(h)
+            skips.append(h)
+            if cfg.pooling == "gpool":
+                h, idx = self.pools[i].forward(h)
+                pool_indices.append(idx)
+            else:
+                h = self.pools[i].forward(h)
+        h = self.bottleneck.forward(h)
+        for j in range(levels):
+            lvl = levels - 1 - j
+            if cfg.pooling == "gpool":
+                h = scatter_rows_batched(h, pool_indices[lvl], cfg.node_schedule[lvl])
+            else:
+                h = self.unpools[j].forward(h)
+            h = concat_features([skips[lvl], h])
+            h = self.dec_convs[j].forward(h)
+        y = self.final.forward(h) * cfg.output_scale
+        if squeeze:
+            y = y.reshape(cfg.node_schedule[0], cfg.out_features)
+        return y
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -165,58 +202,6 @@ class GraphUNetModel:
 
     def config_dict(self) -> dict:
         return {"kind": "unet", "seed": self.seed, "unet": self.config.to_dict()}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        missing = set(params) - set(arrays)
-        extra = set(arrays) - set(params)
-        if missing or extra:
-            raise DimensionError(f"parameter names mismatch: missing {sorted(missing)}, "
-                                 f"unexpected {sorted(extra)}")
-        for k, p in params.items():
-            if arrays[k].shape != p.data.shape:
-                raise DimensionError(f"parameter {k} shape {arrays[k].shape} != {p.data.shape}")
-            p.data[...] = arrays[k]
-
-
-def unet_forward(model: GraphUNetModel, coords2d) -> Tensor:
-    """Lift 2D pixel keypoints (29x2 or batched Bx29x2) to 3D millimeters."""
-    x = coords2d if isinstance(coords2d, Tensor) else Tensor(coords2d)
-    cfg = model.config
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x.reshape(1, *x.shape)
-    if x.ndim != 3 or x.shape[1:] != (cfg.node_schedule[0], cfg.in_features):
-        raise DimensionError(
-            f"expected input shape ({cfg.node_schedule[0]}, {cfg.in_features}) "
-            f"or batched, got {coords2d.shape if hasattr(coords2d, 'shape') else '?'}"
-        )
-    ones = Tensor(np.ones((x.shape[0], cfg.node_schedule[0], 1)))
-    h = concat_features([(x - cfg.input_center) * (1.0 / cfg.input_scale), ones])
-    skips = []
-    pool_indices = []
-    levels = len(cfg.node_schedule) - 1
-    for i in range(levels):
-        h = model.enc_convs[i].forward(h)
-        skips.append(h)
-        if cfg.pooling == "gpool":
-            h, idx = model.pools[i].forward(h)
-            pool_indices.append(idx)
-        else:
-            h = model.pools[i].forward(h)
-    h = model.bottleneck.forward(h)
-    for j in range(levels):
-        lvl = levels - 1 - j
-        if cfg.pooling == "gpool":
-            h = scatter_rows_batched(h, pool_indices[lvl], cfg.node_schedule[lvl])
-        else:
-            h = model.unpools[j].forward(h)
-        h = concat_features([skips[lvl], h])
-        h = model.dec_convs[j].forward(h)
-    y = model.final.forward(h) * cfg.output_scale
-    if squeeze:
-        y = y.reshape(cfg.node_schedule[0], cfg.out_features)
-    return y
 
 
 def build_default_unet(seed: int = 0, pooling: str = "trainable",

@@ -17,8 +17,7 @@ from graphlift.ablation import AblationConfig, run_ablation, write_summary_csv
 from graphlift.adjacency import normalize_adjacency
 from graphlift.cli import main
 from graphlift.gradcheck import grad_check
-from graphlift.layers import (AdaptiveGraphConvLayer, GPoolLayer,
-                              GraphPoolLayer, GraphUnpoolLayer)
+from graphlift.layers import AdaptiveGraphConvLayer, GPoolLayer, NodeMap, uniform_init
 from graphlift.metrics import auc, default_thresholds, pcp_curve, per_joint_errors
 from graphlift.pipeline import HopePipeline, PipelineConfig, hope_loss
 from graphlift.synth import add_noise, records_to_arrays
@@ -41,11 +40,11 @@ def test_criterion_1_gradient_fidelity():
     t_agc = rng.normal(size=(6, 4))
     cases.append((lambda: mse(agc.forward(x6), t_agc), agc.parameters()))
 
-    pool = GraphPoolLayer(6, 3, rng)
+    pool = NodeMap(uniform_init(rng, (3, 6), 6), "P")
     t_pool = rng.normal(size=(3, 5))
     cases.append((lambda: mse(pool.forward(x6), t_pool), pool.parameters()))
 
-    unpool = GraphUnpoolLayer(3, 6, rng)
+    unpool = NodeMap(uniform_init(rng, (6, 3), 3), "U")
     x3 = Tensor(rng.normal(size=(3, 5)))
     t_unpool = rng.normal(size=(6, 5))
     cases.append((lambda: mse(unpool.forward(x3), t_unpool), unpool.parameters()))

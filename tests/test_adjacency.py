@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from graphlift.adjacency import (
-    ADJACENCY_INIT_VARIANTS, AdjacencyMatrix, initial_adjacency,
-    normalize_adjacency,
+    ADJACENCY_INIT_VARIANTS, initial_adjacency, normalize_adjacency,
 )
 from graphlift.errors import DimensionError, DomainError
 from graphlift.keypoints import NUM_NODES
@@ -54,15 +53,6 @@ def test_normalize_path_graph_values():
     ])
     np.testing.assert_allclose(out, expect, atol=1e-12)
     np.testing.assert_allclose(out, out.T, atol=1e-15)
-
-
-def test_adjacency_matrix_type_validation():
-    m = AdjacencyMatrix(np.eye(4))
-    assert m.n == 4
-    with pytest.raises(DimensionError):
-        AdjacencyMatrix(np.zeros((2, 3)))
-    with pytest.raises(DomainError):
-        AdjacencyMatrix(np.full((2, 2), np.nan))
 
 
 def test_initial_adjacency_literal_variants():

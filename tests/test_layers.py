@@ -1,4 +1,4 @@
-"""Graph layers: convolution, pooling variants, and their gradients."""
+"""Graph layers: convolution, node-axis maps, gPool, and their gradients."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,8 @@ from graphlift.errors import DimensionError, DomainError
 from graphlift.gradcheck import grad_check
 from graphlift.keypoints import FIXED_POOL_GROUPS
 from graphlift.layers import (
-    AdaptiveGraphConvLayer, FixedPoolLayer, FixedUnpoolLayer, GPoolLayer,
-    GraphPoolLayer, GraphUnpoolLayer, agc_forward, fixed_pool_forward,
-    gpool_forward, partition_matrix, pool_forward, unpool_forward,
+    AdaptiveGraphConvLayer, GPoolLayer, NodeMap, _gather_rows_batched,
+    partition_matrix, scatter_rows_batched, uniform_init,
 )
 from graphlift.tensor import Tensor, mse
 
@@ -65,7 +64,7 @@ def test_agc_gradients_against_fd():
     layer = AdaptiveGraphConvLayer(rng.random((4, 4)), 3, 2, "relu", rng)
     x = Tensor(rng.normal(size=(4, 3)))
     t = rng.normal(size=(4, 2))
-    report = grad_check(lambda: mse(agc_forward(layer, x), t),
+    report = grad_check(lambda: mse(layer.forward(x), t),
                         layer.parameters(), eps=1e-5)
     assert report.max_rel_err < 1e-6
 
@@ -83,33 +82,33 @@ def test_agc_shape_validation():
         AdaptiveGraphConvLayer(np.eye(2), 3, 2, "tanh", rng)
 
 
-# ---- trainable pool / unpool ----------------------------------------------
+# ---- trainable pool / unpool (NodeMap) --------------------------------------
 
 
 def test_pool_row_selector():
     p = np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-    layer = GraphPoolLayer(4, 2, matrix_init=p)
+    layer = NodeMap(p, "P")
     x = np.arange(8.0).reshape(4, 2)
     out = layer.forward(Tensor(x))
     np.testing.assert_array_equal(out.data, x[[2, 0]])
 
 
 def test_pool_mean_row():
-    layer = GraphPoolLayer(4, 1, matrix_init=np.full((1, 4), 0.25))
+    layer = NodeMap(np.full((1, 4), 0.25), "P")
     x = np.arange(8.0).reshape(4, 2)
     out = layer.forward(Tensor(x))
     np.testing.assert_allclose(out.data, x.mean(axis=0, keepdims=True))
 
 
 def test_unpool_broadcast_transpose():
-    layer = GraphUnpoolLayer(1, 4, matrix_init=np.ones((4, 1)))
+    layer = NodeMap(np.ones((4, 1)), "U")
     out = layer.forward(Tensor([[3.0, 5.0]]))
     np.testing.assert_allclose(out.data, np.tile([3.0, 5.0], (4, 1)))
 
 
 def test_unpool_shape_contract():
     rng = np.random.default_rng(0)
-    layer = GraphUnpoolLayer(4, 8, rng)
+    layer = NodeMap(uniform_init(rng, (8, 4), 4), "U")
     out = layer.forward(Tensor(np.zeros((4, 16))))
     assert out.shape == (8, 16)
     batched = layer.forward(Tensor(np.zeros((2, 4, 16))))
@@ -118,30 +117,37 @@ def test_unpool_shape_contract():
 
 def test_pool_unpool_composition_is_matrix_product():
     rng = np.random.default_rng(3)
-    pool = GraphPoolLayer(6, 3, rng)
-    unpool = GraphUnpoolLayer(3, 6, rng)
+    pool = NodeMap(uniform_init(rng, (3, 6), 6), "P")
+    unpool = NodeMap(uniform_init(rng, (6, 3), 3), "U")
     x = rng.normal(size=(6, 4))
     via_layers = unpool.forward(pool.forward(Tensor(x))).data
-    explicit = unpool.U.data @ pool.P.data @ x
+    explicit = unpool.matrix.data @ pool.matrix.data @ x
     np.testing.assert_allclose(via_layers, explicit, atol=1e-12)
 
 
 def test_pool_direction_validation():
+    # a map reads n_in rows and writes n_out: feeding it the output side
+    # (pooled rows to a pool, full rows to an unpool) is a shape error
     rng = np.random.default_rng(0)
+    pool = NodeMap(uniform_init(rng, (3, 6), 6), "P")
+    unpool = NodeMap(uniform_init(rng, (6, 3), 3), "U")
     with pytest.raises(DimensionError):
-        GraphPoolLayer(4, 4, rng)
+        pool.forward(Tensor(np.zeros((3, 4))))
     with pytest.raises(DimensionError):
-        GraphUnpoolLayer(4, 3, rng)
+        unpool.forward(Tensor(np.zeros((2, 6, 4))))
+    with pytest.raises(DimensionError):
+        NodeMap(np.zeros(6), "P")
 
 
 def test_pool_unpool_gradients():
     rng = np.random.default_rng(4)
-    pool = GraphPoolLayer(6, 3, rng)
-    unpool = GraphUnpoolLayer(3, 6, rng)
+    pool = NodeMap(uniform_init(rng, (3, 6), 6), "P")
+    unpool = NodeMap(uniform_init(rng, (6, 3), 3), "U")
     x = Tensor(rng.normal(size=(6, 4)))
     t = rng.normal(size=(6, 4))
-    params = {"P": pool.P, "U": unpool.U}
-    report = grad_check(lambda: mse(unpool_forward(unpool, pool_forward(pool, x)), t),
+    params = {**pool.parameters(), **unpool.parameters()}
+    assert list(params) == ["P", "U"]
+    report = grad_check(lambda: mse(unpool.forward(pool.forward(x)), t),
                         params, eps=1e-5)
     assert report.max_rel_err < 1e-6
 
@@ -152,8 +158,8 @@ def test_pool_unpool_gradients():
 def test_gpool_selects_top_scores():
     # projection picks feature 0 as the score
     x = Tensor(np.array([[1.0, 9.0], [3.0, 9.0], [2.0, 9.0], [0.5, 9.0]]))
-    p = Tensor(np.array([[1.0], [0.0]]))
-    pooled, idx = gpool_forward(x, p, 0.5)
+    layer = GPoolLayer(4, 2, 2, projection_init=np.array([[1.0], [0.0]]))
+    pooled, idx = layer.forward(x)
     np.testing.assert_array_equal(idx, [1, 2])
     # rows come back gated by sigmoid(score)
     sig = 1 / (1 + np.exp(-np.array([3.0, 2.0])))
@@ -162,30 +168,29 @@ def test_gpool_selects_top_scores():
 
 def test_gpool_tie_breaks_to_lowest_index():
     x = Tensor(np.array([[2.0], [2.0], [2.0], [1.0]]))
-    p = Tensor(np.array([[1.0]]))
-    _, idx = gpool_forward(x, p, 0.5)
+    layer = GPoolLayer(4, 2, 1, projection_init=np.array([[1.0]]))
+    _, idx = layer.forward(x)
     np.testing.assert_array_equal(idx, [0, 1])
 
 
 def test_gpool_keep_count_guard():
     x = Tensor(np.arange(6.0).reshape(6, 1))
-    p = Tensor(np.ones((1, 1)))
-    # 6 * 0.5 keeps 3; ratio 1/3 written in floating point keeps exactly 2
-    assert gpool_forward(x, p, 0.5)[0].shape[0] == 3
-    assert gpool_forward(x, p, 1.0 / 3.0)[0].shape[0] == 2
-    with pytest.raises(DomainError):
-        gpool_forward(x, p, 0.0)
-    with pytest.raises(DomainError):
-        gpool_forward(x, p, 1.0)
+    p = np.ones((1, 1))
+    # the kept count is given directly and must satisfy 0 < n_out < n_in
+    for n_out in (1, 3, 5):
+        assert GPoolLayer(6, n_out, 1, projection_init=p).forward(x)[0].shape == (n_out, 1)
+    for n_out in (0, 6, 7):
+        with pytest.raises(DimensionError):
+            GPoolLayer(6, n_out, 1, projection_init=p)
 
 
 def test_gpool_permutation_consistency():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(8, 3))
-    p = rng.normal(size=(3, 1))
-    _, idx = gpool_forward(Tensor(x), Tensor(p), 0.5)
+    layer = GPoolLayer(8, 4, 3, projection_init=rng.normal(size=(3, 1)))
+    _, idx = layer.forward(Tensor(x))
     perm = rng.permutation(8)
-    _, idx_p = gpool_forward(Tensor(x[perm]), Tensor(p), 0.5)
+    _, idx_p = layer.forward(Tensor(x[perm]))
     # the same underlying nodes win under any row ordering
     assert set(perm[idx_p]) == set(idx)
 
@@ -211,7 +216,29 @@ def test_gpool_gradient():
     assert report.max_rel_err < 1e-5
 
 
-# ---- fixed group-mean pooling ----------------------------------------------
+def test_gather_scatter_rows_round_trip_and_gradients():
+    """Rows gathered at distinct indices scatter back to their places, and
+    both ops pass a gradient check.  Distinct indices are a precondition
+    (put_along_axis overwrites repeats), which top-k selection meets."""
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True, name="x")
+    idx = np.array([[3, 1], [0, 4]])
+    picked = _gather_rows_batched(x, idx)
+    np.testing.assert_array_equal(picked.data[0], x.data[0, [3, 1]])
+    np.testing.assert_array_equal(picked.data[1], x.data[1, [0, 4]])
+    back = scatter_rows_batched(picked, idx, 5).data
+    np.testing.assert_array_equal(back[0, [3, 1]], x.data[0, [3, 1]])
+    np.testing.assert_array_equal(back[0, [0, 2, 4]], 0.0)
+    np.testing.assert_array_equal(back[1, [1, 2, 3]], 0.0)
+    t = rng.normal(size=(2, 5, 3))
+    report = grad_check(lambda: mse(scatter_rows_batched(_gather_rows_batched(x, idx),
+                                                         idx, 5), t), {"x": x}, eps=1e-5)
+    assert report.max_rel_err < 1e-8
+    # rows never gathered receive exactly zero gradient
+    np.testing.assert_array_equal(x.grad[0, [0, 2, 4]], 0.0)
+
+
+# ---- fixed group-mean pooling (constant NodeMap) ----------------------------
 
 
 def test_partition_matrix_mean_and_broadcast():
@@ -236,7 +263,7 @@ def test_partition_validation():
 def test_fixed_pool_29_to_15_hand_oracle():
     groups = FIXED_POOL_GROUPS[(29, 15)]
     x = np.arange(29.0)[:, None] * np.array([1.0, 10.0])
-    out = fixed_pool_forward(Tensor(x), groups)
+    out = NodeMap(partition_matrix(groups, 29, "mean"), "P", trainable=False).forward(Tensor(x))
     assert out.shape == (15, 2)
     for gi, g in enumerate(groups):
         np.testing.assert_allclose(out.data[gi], x[list(g)].mean(axis=0))
@@ -244,8 +271,8 @@ def test_fixed_pool_29_to_15_hand_oracle():
 
 def test_fixed_pool_then_unpool_copies_group_rows():
     groups = [[0, 1], [2, 3]]
-    pool = FixedPoolLayer(groups, 4)
-    unpool = FixedUnpoolLayer(groups, 4)
+    pool = NodeMap(partition_matrix(groups, 4, "mean"), "P", trainable=False)
+    unpool = NodeMap(partition_matrix(groups, 4, "broadcast"), "U", trainable=False)
     x = Tensor(np.arange(8.0).reshape(4, 2))
     up = unpool.forward(pool.forward(x))
     np.testing.assert_array_equal(up.data[0], up.data[1])
@@ -254,5 +281,8 @@ def test_fixed_pool_then_unpool_copies_group_rows():
 
 
 def test_fixed_layers_have_no_parameters():
-    assert FixedPoolLayer([[0], [1]], 2).parameters() == {}
-    assert FixedUnpoolLayer([[0], [1]], 2).parameters() == {}
+    groups = [[0], [1]]
+    pool = NodeMap(partition_matrix(groups, 2, "mean"), "P", trainable=False)
+    unpool = NodeMap(partition_matrix(groups, 2, "broadcast"), "U", trainable=False)
+    assert pool.parameters() == {} and unpool.parameters() == {}
+    assert not pool.matrix.requires_grad and not unpool.matrix.requires_grad

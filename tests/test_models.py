@@ -1,5 +1,7 @@
 """Baseline models and the save/load dispatch across model kinds."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,49 @@ def test_loaded_model_predicts_identically(tmp_path):
     back = load_model(base)
     x = rand_input(seed=9, batch=3)
     np.testing.assert_array_equal(back.forward(x).data, model.forward(x).data)
+
+
+# Checkpoint names and shapes, in blob order, of the SMALL_UNET variants.
+# Old checkpoints load only while these stay exactly as they are.
+_ENC = [("enc0.A", (29, 29)), ("enc0.W", (3, 4)), ("enc1.A", (15, 15)),
+        ("enc1.W", (4, 8)), ("enc2.A", (8, 8)), ("enc2.W", (8, 8))]
+_DEC = [("bottleneck.A", (4, 4)), ("bottleneck.W", (8, 16)), ("dec2.A", (8, 8)),
+        ("dec2.W", (24, 8)), ("dec1.A", (15, 15)), ("dec1.W", (16, 8)),
+        ("dec0.A", (29, 29)), ("dec0.W", (12, 4)), ("final.A", (29, 29)),
+        ("final.W", (4, 3))]
+PINNED_UNET_STATE = {
+    "trainable": _ENC[:2] + [("pool0.P", (15, 29))] + _ENC[2:4] + [("pool1.P", (8, 15))]
+    + _ENC[4:] + [("pool2.P", (4, 8))] + _DEC[:2] + [("unpool2.U", (8, 4))] + _DEC[2:4]
+    + [("unpool1.U", (15, 8))] + _DEC[4:6] + [("unpool0.U", (29, 15))] + _DEC[6:],
+    "gpool": _ENC[:2] + [("pool0.p", (4, 1))] + _ENC[2:4] + [("pool1.p", (8, 1))]
+    + _ENC[4:] + [("pool2.p", (8, 1))] + _DEC,
+    "fixed": _ENC + _DEC,
+}
+PINNED_STUB_REFINE_STATE = [
+    ("stub.W1", (64, 32)), ("stub.W2", (32, 58)), ("stub.b2", (58,)),
+    ("refine.conv0.A", (29, 29)), ("refine.conv0.W", (34, 16)),
+    ("refine.conv1.A", (29, 29)), ("refine.conv1.W", (16, 8)),
+    ("refine.conv2.A", (29, 29)), ("refine.conv2.W", (8, 2)),
+]
+
+
+@pytest.mark.parametrize("pooling", ["trainable", "gpool", "fixed"])
+def test_checkpoint_names_and_shapes_are_pinned(pooling, tmp_path):
+    model = GraphUNetModel(UNetConfig(feature_schedule=(4, 8, 8, 16), pooling=pooling),
+                           seed=0)
+    state = [(k, p.shape) for k, p in model.parameters().items()]
+    assert state == PINNED_UNET_STATE[pooling]
+    save_model(str(tmp_path / "m"), model)
+    with open(tmp_path / "m.json") as f:
+        manifest = json.load(f)["params"]
+    assert {k: tuple(v["shape"]) for k, v in manifest.items()} == dict(state)
+
+
+def test_pipeline_checkpoint_names_and_shapes_are_pinned():
+    pipe = HopePipeline(SMALL_PIPE, seed=0)
+    state = [(k, p.shape) for k, p in pipe.parameters().items()]
+    unet = [(f"unet.{k}", shape) for k, shape in PINNED_UNET_STATE["trainable"]]
+    assert state == PINNED_STUB_REFINE_STATE + unet
 
 
 def test_load_unknown_kind_rejected(tmp_path):

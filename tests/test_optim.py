@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphlift.errors import DomainError, UsageError
-from graphlift.optim import Adam, SgdSchedule, sgd_step, zero_grads
+from graphlift.optim import SGD, Adam, SgdSchedule
 from graphlift.tensor import Tensor
 
 
@@ -38,7 +38,7 @@ def test_schedule_validation():
 def test_sgd_step_updates_and_zeroes():
     p = Tensor([1.0, 2.0], requires_grad=True, name="p")
     p.grad = np.array([10.0, -10.0])
-    sgd_step({"p": p}, SgdSchedule(0.1), step=0)
+    SGD({"p": p}).step(0.1)
     np.testing.assert_allclose(p.data, [0.0, 3.0])
     assert p.grad is None
 
@@ -46,7 +46,7 @@ def test_sgd_step_updates_and_zeroes():
 def test_sgd_step_uses_schedule_step():
     p = Tensor([1.0], requires_grad=True)
     p.grad = np.array([1.0])
-    sgd_step([p], SgdSchedule(1.0, 0.5, 10), step=20)
+    SGD({"p": p}).step(SgdSchedule(1.0, 0.5, 10).lr_at(20))
     np.testing.assert_allclose(p.data, [0.75])
 
 
@@ -55,16 +55,19 @@ def test_sgd_step_missing_grad_is_usage_error():
     q = Tensor([1.0], requires_grad=True, name="frozen")
     p.grad = np.array([1.0])
     with pytest.raises(UsageError):
-        sgd_step({"w": p, "frozen": q}, SgdSchedule(0.1), 0)
+        SGD({"w": p, "frozen": q}).step(0.1)
     # nothing was updated before the error surfaced
     np.testing.assert_array_equal(p.data, [1.0])
 
 
-def test_zero_grads():
-    p = Tensor([1.0], requires_grad=True)
-    p.grad = np.array([5.0])
-    zero_grads([p])
-    assert p.grad is None
+def test_sgd_step_rejects_non_positive_lr():
+    p = Tensor([1.0], requires_grad=True, name="p")
+    p.grad = np.array([1.0])
+    opt = SGD({"p": p})
+    for lr in (0.0, -0.1, float("nan")):
+        with pytest.raises(DomainError):
+            opt.step(lr)
+    np.testing.assert_array_equal(p.data, [1.0])
 
 
 def test_adam_first_step_is_signed_lr():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from graphlift.checkpoint import load_state
 from graphlift.errors import DimensionError, DomainError
 from graphlift.gradcheck import grad_check
 from graphlift.pipeline import (HopeLossWeights, HopePipeline, PipelineConfig,
@@ -194,8 +195,7 @@ def test_forward_batch_matches_stagewise(records):
     np.testing.assert_array_equal(init_b.data, init2d.data)
     refined = pipe.refine.forward(features, init2d)
     np.testing.assert_array_equal(refined_b.data, refined.data)
-    from graphlift.unet import unet_forward
-    np.testing.assert_array_equal(pred_b.data, unet_forward(pipe.unet, refined).data)
+    np.testing.assert_array_equal(pred_b.data, pipe.unet.forward(refined).data)
 
 
 def test_loss_gradient_reaches_stub(records):
@@ -230,13 +230,13 @@ def test_pipeline_state_round_trip():
     pipe = HopePipeline(SMALL, seed=11)
     state = {k: v.data.copy() for k, v in pipe.parameters().items()}
     other = HopePipeline(SMALL, seed=12)
-    other.load_state(state)
+    load_state(other, state)
     for k, v in other.parameters().items():
         np.testing.assert_array_equal(v.data, state[k])
     with pytest.raises(DimensionError):
         bad = dict(state)
         del bad["stub.W1"]
-        other.load_state(bad)
+        load_state(other, bad)
     assert PipelineConfig.from_dict(SMALL.to_dict()) == SMALL
 
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from graphlift.errors import DimensionError, DomainError, NumericError
+from graphlift.errors import DimensionError, NumericError
+from graphlift.layers import _gather_rows_batched, scatter_rows_batched
 from graphlift.tensor import (
-    Tensor, concat_features, gather_nodes, matmul, mse, relu, scatter_nodes,
+    Tensor, concat_features, matmul, mse, relu,
     sigmoid,
 )
 
@@ -204,33 +205,28 @@ def test_diamond_graph_accumulates():
 
 
 def test_gather_nodes_selects_and_accumulates():
-    x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
-    out = gather_nodes(x, [2, 0, 2])
-    np.testing.assert_array_equal(out.data[1], x.data[0])
-    out.sum().backward()
-    # row 2 was gathered twice, row 1 never
-    np.testing.assert_array_equal(x.grad[:, 0], [1.0, 0.0, 2.0, 0.0])
-
-
-def test_gather_nodes_index_bounds():
-    x = Tensor(np.zeros((4, 3)))
-    with pytest.raises(DomainError):
-        gather_nodes(x, [4])
+    """Node-row gather on the batched op.  Indices within one gather are
+    distinct (put_along_axis overwrites repeats); a row gathered by two
+    separate gathers accumulates both gradients."""
+    x = Tensor(np.arange(12.0).reshape(1, 4, 3), requires_grad=True)
+    out = _gather_rows_batched(x, np.array([[2, 0]]))
+    np.testing.assert_array_equal(out.data[0, 1], x.data[0, 0])
+    np.testing.assert_array_equal(out.data[0, 0], x.data[0, 2])
+    (out.sum() + _gather_rows_batched(x, np.array([[2]])).sum()).backward()
+    # row 2 was gathered twice, rows 1 and 3 never
+    np.testing.assert_array_equal(x.grad[0, :, 0], [1.0, 0.0, 2.0, 0.0])
 
 
 def test_scatter_nodes_inverse_of_gather():
-    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    out = scatter_nodes(x, [3, 1], 5)
-    assert out.shape == (5, 3)
-    np.testing.assert_array_equal(out.data[3], x.data[0])
-    np.testing.assert_array_equal(out.data[0], 0.0)
+    x = Tensor(np.arange(6.0).reshape(1, 2, 3), requires_grad=True)
+    idx = np.array([[3, 1]])
+    out = scatter_rows_batched(x, idx, 5)
+    assert out.shape == (1, 5, 3)
+    np.testing.assert_array_equal(out.data[0, 3], x.data[0, 0])
+    np.testing.assert_array_equal(out.data[0, 0], 0.0)
+    np.testing.assert_array_equal(_gather_rows_batched(out, idx).data, x.data)
     out.sum().backward()
-    np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
-
-
-def test_scatter_nodes_rejects_duplicates():
-    with pytest.raises(DomainError):
-        scatter_nodes(Tensor(np.zeros((2, 3))), [1, 1], 4)
+    np.testing.assert_array_equal(x.grad, np.ones((1, 2, 3)))
 
 
 def test_no_grad_tracking_without_requires_grad():

@@ -4,12 +4,12 @@ the pooling variants."""
 import numpy as np
 import pytest
 
+from graphlift.checkpoint import load_state
 from graphlift.errors import DimensionError, DomainError
 from graphlift.gradcheck import grad_check
 from graphlift.tensor import Tensor, mse
 from graphlift.unet import (
     DEFAULT_UNET_PARAM_COUNT, GraphUNetModel, UNetConfig, build_default_unet,
-    unet_forward,
 )
 
 SMALL = UNetConfig(feature_schedule=(4, 8, 8, 16))
@@ -60,11 +60,11 @@ def test_forward_matches_straight_line_composition():
         conv = model.enc_convs[i]
         h = np.maximum(conv.A.data @ (h @ conv.W.data), 0.0)
         skips.append(h)
-        h = model.pools[i].P.data @ h
+        h = model.pools[i].matrix.data @ h
     h = np.maximum(model.bottleneck.A.data @ (h @ model.bottleneck.W.data), 0.0)
     for j in range(3):
         lvl = 2 - j
-        h = model.unpools[j].U.data @ h
+        h = model.unpools[j].matrix.data @ h
         h = np.concatenate([skips[lvl], h], axis=1)
         conv = model.dec_convs[j]
         h = np.maximum(conv.A.data @ (h @ conv.W.data), 0.0)
@@ -176,22 +176,22 @@ def test_config_validation():
 def test_forward_shape_validation():
     model = GraphUNetModel(SMALL, seed=0)
     with pytest.raises(DimensionError):
-        unet_forward(model, np.zeros((28, 2)))
+        model.forward(np.zeros((28, 2)))
     with pytest.raises(DimensionError):
-        unet_forward(model, np.zeros((29, 3)))
+        model.forward(np.zeros((29, 3)))
 
 
 def test_load_state_validation():
     model = GraphUNetModel(SMALL, seed=0)
     good = {k: v.data.copy() for k, v in model.parameters().items()}
     other = GraphUNetModel(SMALL, seed=1)
-    other.load_state(good)
+    load_state(other, good)
     np.testing.assert_array_equal(other.final.W.data, model.final.W.data)
     bad = dict(good)
     bad.pop("final.W")
     with pytest.raises(DimensionError):
-        model.load_state(bad)
+        load_state(model, bad)
     bad = dict(good)
     bad["final.W"] = np.zeros((2, 2))
     with pytest.raises(DimensionError):
-        model.load_state(bad)
+        load_state(model, bad)
