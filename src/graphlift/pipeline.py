@@ -20,7 +20,7 @@ from .errors import DimensionError, DomainError
 from .layers import AdaptiveGraphConvLayer, uniform_init
 from .keypoints import NUM_NODES
 from .synth import SampleRecord
-from .tensor import Tensor, concat_features, matmul, mse
+from .tensor import Tensor, concat_features, matmul, mse, no_grad
 from .unet import GraphUNetModel, UNetConfig
 
 __all__ = [
@@ -237,6 +237,8 @@ def hope_loss(init2d, refined2d, pred3d, gt2d, gt3d,
 
 
 def predict(pipeline: HopePipeline, sample: SampleRecord) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic full-cascade inference: refined 2D px, predicted 3D mm."""
-    _, refined, pred3d = pipeline.forward_batch(sample.gt2d[None])
+    """Deterministic full-cascade inference, recording no autodiff tape:
+    refined 2D px, predicted 3D mm."""
+    with no_grad():
+        _, refined, pred3d = pipeline.forward_batch(sample.gt2d[None])
     return refined.data[0].copy(), pred3d.data[0].copy()

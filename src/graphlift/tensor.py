@@ -7,11 +7,19 @@ into every tensor that requires them.
 
 All arithmetic is done in 64-bit floats.  Broadcasting follows numpy
 rules; gradients of broadcast operands are summed back down to the
-operand's own shape.
+operand's own shape.  A product of a stacked operand with a 2-D matrix,
+(..., n, k) @ (k, o), runs as one flattened (N, k) @ (k, o) GEMM in both
+directions, so the weight gradient never materializes a per-batch
+(B, k, o) stack.
+
+Inside `with no_grad():` operations record nothing: results have
+requires_grad=False and no parents, so inference keeps no closures or
+intermediates alive.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Sequence
 
 import numpy as np
@@ -20,12 +28,34 @@ from .errors import DimensionError, DomainError, NumericError
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "matmul",
     "relu",
     "sigmoid",
     "concat_features",
     "mse",
 ]
+
+
+_GRAD_ENABLED = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no autodiff tape inside the block.
+
+    Op results made inside it have requires_grad=False and no parents,
+    even when an operand requires grad; leaves keep their own flag.  The
+    flag is process-global (one module variable, not per thread) and is
+    restored on exit, also when the block raises, so blocks nest.
+    """
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
 
 
 def _as_f64(data) -> np.ndarray:
@@ -72,7 +102,7 @@ class Tensor:
         out.data = data
         out.grad = None
         out.name = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = parents
             out._backward = backward
@@ -272,7 +302,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     Both operands must have at least 2 dimensions; the last axis of `a`
     must match the second-to-last axis of `b`.  Leading axes broadcast,
-    and gradients of broadcast operands are summed back down.
+    and gradients of broadcast operands are summed back down.  A stacked
+    `a` times a 2-D `b` takes the flattened GEMM path instead: the
+    weight gradient is a(N, k).T @ g(N, o) with no broadcast to undo.
     """
     a = Tensor._lift(a)
     b = Tensor._lift(b)
@@ -284,6 +316,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul inner dimensions differ: {a.data.shape} vs {b.data.shape}"
         )
+    if b.data.ndim == 2 and a.data.ndim > 2:
+        return _matmul_flat(a, b)
     out = Tensor._from_op(a.data @ b.data, (a, b), None)
     if out.requires_grad:
         def backward(g):
@@ -291,6 +325,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 a.grad += _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
             if b.requires_grad:
                 b.grad += _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        out._backward = backward
+    return out
+
+
+def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
+    """(..., n, k) @ (k, o) as one (N, k) @ (k, o) GEMM, N = prod(...) * n."""
+    k, o = b.data.shape
+    out = Tensor._from_op((a.data.reshape(-1, k) @ b.data).reshape(*a.data.shape[:-1], o),
+                          (a, b), None)
+    if out.requires_grad:
+        def backward(g):
+            g2 = g.reshape(-1, o)
+            if a.requires_grad:
+                a.grad += (g2 @ b.data.T).reshape(a.data.shape)
+            if b.requires_grad:
+                b.grad += a.data.reshape(-1, k).T @ g2
         out._backward = backward
     return out
 
@@ -360,8 +410,11 @@ def mse(pred: Tensor, target) -> Tensor:
         )
     if pred.data.size == 0:
         raise DomainError("mse of empty tensors")
-    diff = pred.data - tgt
-    val = np.asarray(np.mean(diff * diff))
+    # A diverging model overflows here; the training loop's finite check
+    # reports that, so numpy's own warning is silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pred.data - tgt
+        val = np.asarray(np.mean(diff * diff))
     out = Tensor._from_op(val, (pred,), None)
     if out.requires_grad:
         scale = 2.0 / diff.size

@@ -23,7 +23,7 @@ from .errors import DomainError, TrainingDiverged
 from .optim import SGD, Adam, SgdSchedule
 from .pipeline import HopeLossWeights, HopePipeline, hope_loss_terms
 from .synth import SampleRecord, add_noise, records_to_arrays
-from .tensor import mse
+from .tensor import mse, no_grad
 
 __all__ = [
     "TrainConfig", "TrainingLog", "train", "train_unet_stage2",
@@ -262,11 +262,12 @@ def train(pipeline: HopePipeline, records: list[SampleRecord],
 
 
 def unet_predictions(model, inputs2d: np.ndarray, chunk: int = 128) -> np.ndarray:
-    """Forward a (S, 29, 2) array through a 2D->3D model without autodiff
-    bookkeeping beyond one chunk at a time."""
+    """Forward a (S, 29, 2) array through a 2D->3D model, one chunk at a
+    time, recording no autodiff tape."""
     outs = []
-    for lo in range(0, inputs2d.shape[0], chunk):
-        outs.append(model.forward(inputs2d[lo:lo + chunk]).data)
+    with no_grad():
+        for lo in range(0, inputs2d.shape[0], chunk):
+            outs.append(model.forward(inputs2d[lo:lo + chunk]).data)
     return np.concatenate(outs, axis=0)
 
 
@@ -287,13 +288,15 @@ def eval_unet_mean_error(model, records: list[SampleRecord], noise_sigma: float 
 
 def pipeline_predictions(pipeline: HopePipeline, records: list[SampleRecord],
                          chunk: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Batched full-cascade inference: refined 2D (S, 29, 2) and 3D (S, 29, 3)."""
+    """Batched full-cascade inference, recording no autodiff tape: refined
+    2D (S, 29, 2) and 3D (S, 29, 3)."""
     gt2d, _ = records_to_arrays(records)
     refined_out, pred_out = [], []
-    for lo in range(0, gt2d.shape[0], chunk):
-        _, refined, pred3d = pipeline.forward_batch(gt2d[lo:lo + chunk])
-        refined_out.append(refined.data)
-        pred_out.append(pred3d.data)
+    with no_grad():
+        for lo in range(0, gt2d.shape[0], chunk):
+            _, refined, pred3d = pipeline.forward_batch(gt2d[lo:lo + chunk])
+            refined_out.append(refined.data)
+            pred_out.append(pred3d.data)
     return np.concatenate(refined_out, axis=0), np.concatenate(pred_out, axis=0)
 
 

@@ -2,6 +2,7 @@
 
 import filecmp
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -105,7 +106,9 @@ def test_train_rejects_bad_stage_epochs(dataset, tmp_path):
 
 def test_train_divergence_exits_3_with_last_good_state(dataset, tmp_path, capsys):
     base = str(tmp_path / "ck")
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        # the finite check, not a numpy warning, must report the divergence
+        warnings.simplefilter("error", RuntimeWarning)
         rc = main(["train", "--data", dataset, "--out-ckpt", base,
                    "--stage-epochs", "2,2,2", "--batch-size", "16",
                    "--optimizer", "sgd", "--seed", "0"])

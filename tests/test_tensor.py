@@ -1,12 +1,15 @@
 """Autodiff core: values, gradients, broadcasting, and error paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from graphlift.errors import DimensionError, NumericError
+from graphlift.gradcheck import grad_check
 from graphlift.layers import _gather_rows_batched, scatter_rows_batched
 from graphlift.tensor import (
-    Tensor, concat_features, matmul, mse, relu,
+    Tensor, _unbroadcast, concat_features, matmul, mse, no_grad, relu,
     sigmoid,
 )
 
@@ -234,3 +237,130 @@ def test_no_grad_tracking_without_requires_grad():
     b = a * 3 + 1
     assert not b.requires_grad
     assert b._parents == ()
+
+
+# ---- the flattened GEMM path of (..., n, k) @ (k, o) -------------------------
+
+
+def _rel_err(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+def _plain_matmul(a, b, g):
+    """Forward and both gradients by the broadcast formula the GEMM path replaces."""
+    return (a @ b, _unbroadcast(g @ b.T, a.shape),
+            _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
+
+
+def _transposed_view(rng, shape):
+    base = rng.normal(size=shape[:-2] + (shape[-1], shape[-2]))
+    view = np.swapaxes(base, -1, -2)
+    assert not view.flags.c_contiguous
+    return view
+
+
+@pytest.mark.parametrize("a_shape, o, layout", [
+    ((5, 7, 6), 4, "contiguous"),
+    ((2, 3, 7, 6), 4, "contiguous"),
+    ((5, 7, 6), 4, "transposed"),
+    ((2, 3, 7, 6), 1, "transposed"),
+])
+def test_matmul_gemm_path_matches_plain_formula(a_shape, o, layout):
+    rng = np.random.default_rng(3)
+    k = a_shape[-1]
+    a_data = (_transposed_view(rng, a_shape) if layout == "transposed"
+              else rng.normal(size=a_shape))
+    b_data = rng.normal(size=(k, o))
+    g = rng.normal(size=a_shape[:-1] + (o,))
+    want_out, want_ga, want_gb = _plain_matmul(a_data, b_data, g)
+    a = Tensor(a_data, requires_grad=True)
+    b = Tensor(b_data, requires_grad=True)
+    out = matmul(a, b)
+    assert out.shape == want_out.shape
+    assert _rel_err(out.data, want_out) <= 1e-12
+    (out * Tensor(g)).sum().backward()
+    assert _rel_err(a.grad, want_ga) <= 1e-12
+    assert _rel_err(b.grad, want_gb) <= 1e-12
+
+
+@pytest.mark.parametrize("grad_a, grad_b", [(True, False), (False, True)])
+def test_matmul_gemm_path_one_operand_requires_grad(grad_a, grad_b):
+    rng = np.random.default_rng(4)
+    a_data, b_data = rng.normal(size=(3, 4, 5)), rng.normal(size=(5, 2))
+    g = rng.normal(size=(3, 4, 2))
+    _, want_ga, want_gb = _plain_matmul(a_data, b_data, g)
+    a = Tensor(a_data, requires_grad=grad_a)
+    b = Tensor(b_data, requires_grad=grad_b)
+    (matmul(a, b) * Tensor(g)).sum().backward()
+    if grad_a:
+        assert b.grad is None and _rel_err(a.grad, want_ga) <= 1e-12
+    else:
+        assert a.grad is None and _rel_err(b.grad, want_gb) <= 1e-12
+
+
+def test_matmul_gemm_path_gradcheck():
+    rng = np.random.default_rng(5)
+    a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 3, 4, 3)))
+    report = grad_check(lambda: (relu(matmul(a, b)) * w).sum(), {"a": a, "b": b},
+                        num_coords=200)
+    assert report.num_checked == 135
+    assert report.ok(1e-7), report
+
+
+def test_matmul_weight_gradient_allocates_no_batch_stack():
+    # A (B, k, o) stack of per-sample weight gradients would be 32*512*512*8 B = 67 MB.
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(32, 4, 512)), requires_grad=True)
+    w = Tensor(rng.normal(size=(512, 512)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        matmul(x, w).sum().backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.grad.shape == (512, 512)
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# ---- no_grad -------------------------------------------------------------------
+
+
+def test_no_grad_records_no_tape():
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    with no_grad():
+        outs = [matmul(x, w), relu(x), sigmoid(x), x * 2 + 1, x.sum(),
+                concat_features([x, x]), mse(x, np.zeros((2, 3, 4)))]
+        leaf = Tensor([1.0], requires_grad=True)
+    for out in outs:
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+    assert leaf.requires_grad
+    assert x.grad is None and w.grad is None
+
+
+def _records_tape():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    return (x * 3).requires_grad
+
+
+def test_no_grad_restores_flag_after_nesting_and_exceptions():
+    assert _records_tape()
+    with no_grad():
+        with no_grad():
+            assert not _records_tape()
+        assert not _records_tape()
+    assert _records_tape()
+    with pytest.raises(DimensionError):
+        with no_grad():
+            Tensor([1.0, 2.0]).item()
+    assert _records_tape()
+    with no_grad():
+        with pytest.raises(DimensionError):
+            with no_grad():
+                Tensor([1.0, 2.0]).item()
+        assert not _records_tape()
+    assert _records_tape()

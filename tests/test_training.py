@@ -8,11 +8,12 @@ import pytest
 
 from graphlift.errors import DomainError, TrainingDiverged
 from graphlift.optim import SgdSchedule
-from graphlift.pipeline import HopePipeline, PipelineConfig
+from graphlift.pipeline import HopePipeline, PipelineConfig, hope_loss_terms, predict
 from graphlift.synth import generate_dataset
 from graphlift.training import (LOG_COLUMNS, PRESET_EPOCHS, TrainConfig,
-                                TrainingLog, eval_unet_mean_error,
-                                mean_keypoint_error, stage_schedule, train,
+                                TrainingLog, eval_pipeline_errors,
+                                eval_unet_mean_error, mean_keypoint_error,
+                                pipeline_predictions, stage_schedule, train,
                                 train_unet_stage2, unet_predictions)
 from graphlift.unet import GraphUNetModel, UNetConfig
 
@@ -238,3 +239,44 @@ def test_eval_unet_mean_error_seeded(records):
     c = eval_unet_mean_error(model, records, noise_sigma=20.0, seed=2)
     assert a == b
     assert a != c
+
+
+# ---- tape-free inference ----------------------------------------------------
+
+
+def test_pipeline_predictions_match_tape_forward(records):
+    pipe = HopePipeline(SMALL_PIPE, seed=3)
+    refined, pred3d = pipeline_predictions(pipe, records, chunk=8)
+    gt2d = np.stack([r.gt2d for r in records])
+    chunks = [pipe.forward_batch(gt2d[lo:lo + 8]) for lo in range(0, len(records), 8)]
+    assert all(c[2].requires_grad for c in chunks)
+    np.testing.assert_array_equal(refined, np.concatenate([c[1].data for c in chunks]))
+    np.testing.assert_array_equal(pred3d, np.concatenate([c[2].data for c in chunks]))
+
+
+def test_inference_leaves_gradients_untouched(records):
+    pipe = HopePipeline(SMALL_PIPE, seed=4)
+    params = pipe.parameters()
+    _, _, pred3d = pipe.forward_batch(np.stack([r.gt2d for r in records[:4]]))
+    pred3d.sum().backward()
+    before = {k: p.grad.copy() for k, p in params.items()}
+    pipeline_predictions(pipe, records)
+    unet_predictions(pipe.unet, np.stack([r.gt2d for r in records]))
+    predict(pipe, records[0])
+    for k, p in params.items():
+        np.testing.assert_array_equal(p.grad, before[k])
+
+
+def test_training_after_eval_still_records_gradients(records):
+    pipe = HopePipeline(SMALL_PIPE, seed=5)
+    eval_pipeline_errors(pipe, records)
+    eval_unet_mean_error(pipe.unet, records)
+    batch = records[:8]
+    gt2d = np.stack([r.gt2d for r in batch])
+    gt3d = np.stack([r.gt3d for r in batch])
+    init2d, refined, pred3d = pipe.forward_batch(gt2d)
+    total = hope_loss_terms(init2d, refined, pred3d, gt2d, gt3d)[0]
+    assert total.requires_grad
+    total.backward()
+    for k, p in pipe.parameters().items():
+        assert p.grad is not None and np.any(p.grad != 0), k
