@@ -77,21 +77,24 @@ def grad_check(fn: Callable[[], Tensor], params: Mapping[str, Tensor],
 
     report = GradCheckReport(max_rel_err=0.0, num_checked=len(coords))
     for k, i in coords:
-        flat = params[k].data.reshape(-1)
-        x0 = flat[i]
+        # Index the array itself: reshape(-1) of a non-contiguous parameter
+        # is a copy, and a perturbation written there would never be seen.
+        data = params[k].data
+        idx = np.unravel_index(i, data.shape)
+        x0 = data[idx]
         h = eps * max(1.0, abs(x0))
-        flat[i] = x0 + h
+        data[idx] = x0 + h
         f_plus = evaluate().item()
-        flat[i] = x0 - h
+        data[idx] = x0 - h
         f_minus = evaluate().item()
-        flat[i] = x0
+        data[idx] = x0
         fd = (f_plus - f_minus) / (2 * h)
-        an = analytic[k].reshape(-1)[i]
+        an = analytic[k][idx]
         rel = abs(an - fd) / max(1.0, abs(an), abs(fd))
         if record_details:
             report.details.append((k, i, an, fd, rel))
         if rel > report.max_rel_err:
             report.max_rel_err = rel
             report.worst_param = k
-            report.worst_index = np.unravel_index(i, params[k].data.shape)
+            report.worst_index = idx
     return report

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .tensor import Tensor, matmul, relu, sigmoid
+from .tensor import Tensor, _accumulate, matmul, relu, sigmoid
 
 __all__ = [
     "AdaptiveGraphConvLayer", "NodeMap", "GPoolLayer",
@@ -176,7 +176,7 @@ def _gather_rows_batched(x: Tensor, idx: np.ndarray) -> Tensor:
         def backward(g):
             buf = np.zeros_like(x.data)
             np.put_along_axis(buf, np.broadcast_to(idx3, g.shape), g, axis=1)
-            x.grad += buf
+            _accumulate(x, buf)
         out._backward = backward
     return out
 
@@ -196,7 +196,7 @@ def scatter_rows_batched(x: Tensor, idx: np.ndarray, num_nodes: int) -> Tensor:
     out = Tensor._from_op(buf, (x,), None)
     if out.requires_grad:
         def backward(g):
-            x.grad += np.take_along_axis(g, idx3, axis=1)
+            _accumulate(x, np.take_along_axis(g, idx3, axis=1))
         out._backward = backward
     return out
 

@@ -144,7 +144,6 @@ class RefineNet:
             AdaptiveGraphConvLayer(eye, w0, w1, "relu", rng),
             AdaptiveGraphConvLayer(eye, w1, 2, "linear", rng),
         ]
-        self._ones_nodes = Tensor(np.ones((NUM_NODES, 1)))
 
     def forward(self, features: Tensor, init2d: Tensor) -> Tensor:
         cfg = self.config
@@ -159,10 +158,9 @@ class RefineNet:
             )
         if init2d.shape[1:] != (NUM_NODES, 2):
             raise DimensionError(f"expected ({NUM_NODES}, 2) estimates, got {init2d.shape}")
-        per_node = matmul(self._ones_nodes, features.reshape(features.shape[0], 1,
-                                                             features.shape[-1]))
         scaled = (init2d - cfg.input_center) * (1.0 / cfg.input_scale)
-        h = concat_features([per_node, scaled])
+        h = concat_features([features.reshape(features.shape[0], 1, features.shape[-1]),
+                             scaled])
         for layer in self.layers:
             h = layer.forward(h)
         out = h * cfg.refine_output_scale

@@ -5,6 +5,14 @@ directed acyclic graph of closures; calling backward() on a scalar result
 walks the graph in reverse topological order and accumulates gradients
 into every tensor that requires them.
 
+Gradients are accumulated without buffers: backward() clears every
+gradient on the tape, the first contribution a tensor receives becomes
+its gradient as it is (often a view of another gradient, or a read-only
+broadcast view), and each later contribution allocates the sum.  A
+tensor that receives none gets zeros just before its own closure runs.
+No gradient is ever written in place, so views that alias each other
+are safe; callers must not write into .grad either.
+
 All arithmetic is done in 64-bit floats.  Broadcasting follows numpy
 rules; gradients of broadcast operands are summed back down to the
 operand's own shape.  A product of a stacked operand with a 2-D matrix,
@@ -61,6 +69,16 @@ def no_grad():
 def _as_f64(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     return arr
+
+
+def _accumulate(t: "Tensor", g: np.ndarray) -> None:
+    """Add the contribution `g` to t.grad.
+
+    The first write adopts `g` itself, without a buffer or an add; a later
+    write allocates the sum.  No gradient is ever written in place, so a
+    gradient may be a view of another (or read-only) without harm.
+    """
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -161,9 +179,11 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         for node in topo:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
             if node._backward is not None:
                 node._backward(node.grad)
 
@@ -182,9 +202,9 @@ class Tensor:
         if out.requires_grad:
             def backward(g):
                 if a.requires_grad:
-                    a.grad += _unbroadcast(g, a.data.shape)
+                    _accumulate(a, _unbroadcast(g, a.data.shape))
                 if b.requires_grad:
-                    b.grad += _unbroadcast(g, b.data.shape)
+                    _accumulate(b, _unbroadcast(g, b.data.shape))
             out._backward = backward
         return out
 
@@ -195,7 +215,7 @@ class Tensor:
         out = Tensor._from_op(-a.data, (a,), None)
         if out.requires_grad:
             def backward(g):
-                a.grad += -g
+                _accumulate(a, -g)
             out._backward = backward
         return out
 
@@ -206,9 +226,9 @@ class Tensor:
         if out.requires_grad:
             def backward(g):
                 if a.requires_grad:
-                    a.grad += _unbroadcast(g, a.data.shape)
+                    _accumulate(a, _unbroadcast(g, a.data.shape))
                 if b.requires_grad:
-                    b.grad += _unbroadcast(-g, b.data.shape)
+                    _accumulate(b, _unbroadcast(-g, b.data.shape))
             out._backward = backward
         return out
 
@@ -222,9 +242,9 @@ class Tensor:
         if out.requires_grad:
             def backward(g):
                 if a.requires_grad:
-                    a.grad += _unbroadcast(g * b.data, a.data.shape)
+                    _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
                 if b.requires_grad:
-                    b.grad += _unbroadcast(g * a.data, b.data.shape)
+                    _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
             out._backward = backward
         return out
 
@@ -237,9 +257,9 @@ class Tensor:
         if out.requires_grad:
             def backward(g):
                 if a.requires_grad:
-                    a.grad += _unbroadcast(g / b.data, a.data.shape)
+                    _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
                 if b.requires_grad:
-                    b.grad += _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                    _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
             out._backward = backward
         return out
 
@@ -259,7 +279,7 @@ class Tensor:
         out = Tensor._from_op(a.data.reshape(shape), (a,), None)
         if out.requires_grad:
             def backward(g):
-                a.grad += g.reshape(old)
+                _accumulate(a, g.reshape(old))
             out._backward = backward
         return out
 
@@ -270,10 +290,10 @@ class Tensor:
         if out.requires_grad:
             def backward(g):
                 if axis is None:
-                    a.grad += np.broadcast_to(g, a.data.shape)
+                    _accumulate(a, np.broadcast_to(g, a.data.shape))
                 else:
                     gg = g if keepdims else np.expand_dims(g, axis)
-                    a.grad += np.broadcast_to(gg, a.data.shape)
+                    _accumulate(a, np.broadcast_to(gg, a.data.shape))
             out._backward = backward
         return out
 
@@ -289,7 +309,7 @@ class Tensor:
         out = Tensor._from_op(root, (a,), None)
         if out.requires_grad:
             def backward(g):
-                a.grad += g * (0.5 / root)
+                _accumulate(a, g * (0.5 / root))
             out._backward = backward
         return out
 
@@ -322,9 +342,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         def backward(g):
             if a.requires_grad:
-                a.grad += _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+                _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
             if b.requires_grad:
-                b.grad += _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+                _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
         out._backward = backward
     return out
 
@@ -338,9 +358,9 @@ def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
         def backward(g):
             g2 = g.reshape(-1, o)
             if a.requires_grad:
-                a.grad += (g2 @ b.data.T).reshape(a.data.shape)
+                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
             if b.requires_grad:
-                b.grad += a.data.reshape(-1, k).T @ g2
+                _accumulate(b, a.data.reshape(-1, k).T @ g2)
         out._backward = backward
     return out
 
@@ -352,7 +372,7 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor._from_op(np.where(mask, x.data, 0.0), (x,), None)
     if out.requires_grad:
         def backward(g):
-            x.grad += np.where(mask, g, 0.0)
+            _accumulate(x, np.where(mask, g, 0.0))
         out._backward = backward
     return out
 
@@ -366,36 +386,42 @@ def sigmoid(x: Tensor) -> Tensor:
     out = Tensor._from_op(s, (x,), None)
     if out.requires_grad:
         def backward(g):
-            x.grad += g * s * (1.0 - s)
+            _accumulate(x, g * s * (1.0 - s))
         out._backward = backward
     return out
 
 
 def concat_features(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the last (feature) axis.
+    """Concatenate along the last (feature) axis, broadcasting the others.
 
-    All operands must agree on every axis except the last.  Zero-width
-    operands are legal and contribute nothing.
+    The leading axes of the operands broadcast against each other by numpy
+    rules, so a (B, 1, F) operand joins a (B, n, k) one as n copies of its
+    row without being repeated first: each operand is assigned straight
+    into one output array, and each operand's gradient slice is summed
+    back down to its own shape.  Zero-width operands are legal and
+    contribute nothing.
     """
     ts = [Tensor._lift(t) for t in tensors]
     if not ts:
         raise DomainError("concat_features needs at least one tensor")
-    lead = ts[0].data.shape[:-1]
-    for t in ts[1:]:
-        if t.data.shape[:-1] != lead:
-            raise DimensionError(
-                "concat_features operands disagree on leading shape: "
-                f"{ts[0].data.shape} vs {t.data.shape}"
-            )
-    out_data = np.concatenate([t.data for t in ts], axis=-1)
+    try:
+        lead = np.broadcast_shapes(*(t.data.shape[:-1] for t in ts))
+    except ValueError:
+        raise DimensionError(
+            "concat_features operands' leading shapes do not broadcast: "
+            + " vs ".join(str(t.data.shape) for t in ts)
+        ) from None
+    widths = [t.data.shape[-1] for t in ts]
+    offsets = np.cumsum([0] + widths)
+    out_data = np.empty(lead + (offsets[-1],))
+    for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
+        out_data[..., lo:hi] = t.data
     out = Tensor._from_op(out_data, tuple(ts), None)
     if out.requires_grad:
-        widths = [t.data.shape[-1] for t in ts]
-        offsets = np.cumsum([0] + widths)
         def backward(g):
             for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
                 if t.requires_grad and hi > lo:
-                    t.grad += g[..., lo:hi]
+                    _accumulate(t, _unbroadcast(g[..., lo:hi], t.data.shape))
         out._backward = backward
     return out
 
@@ -419,6 +445,6 @@ def mse(pred: Tensor, target) -> Tensor:
     if out.requires_grad:
         scale = 2.0 / diff.size
         def backward(g):
-            pred.grad += g * scale * diff
+            _accumulate(pred, g * scale * diff)
         out._backward = backward
     return out

@@ -6,7 +6,7 @@ import pytest
 
 from graphlift.errors import DomainError, NumericError
 from graphlift.gradcheck import grad_check
-from graphlift.tensor import Tensor, matmul, mse, relu
+from graphlift.tensor import Tensor, _accumulate, matmul, mse, relu
 
 
 def test_linear_layer_tight_tolerance():
@@ -36,7 +36,7 @@ def test_broken_gradient_is_caught():
     def wrong_grad():
         out = Tensor._from_op(np.asarray((w.data ** 2).sum()), (w,), None)
         def backward(g):
-            w.grad += g * 3.0 * w.data  # should be 2 * w
+            _accumulate(w, g * 3.0 * w.data)  # should be 2 * w
         out._backward = backward
         return out
 
@@ -44,6 +44,18 @@ def test_broken_gradient_is_caught():
     assert report.max_rel_err > 0.1
     assert report.worst_param == "w"
     assert not report.ok()
+
+
+def test_non_contiguous_parameter_is_perturbed_in_place():
+    # A transposed array is not C-contiguous: reshape(-1) would be a copy.
+    rng = np.random.default_rng(5)
+    w = Tensor(rng.normal(size=(3, 4)).T, requires_grad=True, name="w")
+    assert not w.data.flags.c_contiguous
+    before = w.data.copy()
+    report = grad_check(lambda: (w * w).sum(), {"w": w})
+    assert report.num_checked == 12
+    assert report.max_rel_err < 1e-6
+    np.testing.assert_array_equal(w.data, before)
 
 
 def test_coordinate_sampling_bound():

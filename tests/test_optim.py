@@ -1,10 +1,14 @@
 """Optimizer updates and the step-decay schedule."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from graphlift import optim
 from graphlift.errors import DomainError, UsageError
 from graphlift.optim import SGD, Adam, SgdSchedule
+from graphlift.pipeline import HopePipeline, PipelineConfig
 from graphlift.tensor import Tensor
 
 
@@ -104,3 +108,67 @@ def test_adam_validates_betas():
     p = Tensor([0.0], requires_grad=True, name="p")
     with pytest.raises(DomainError):
         Adam({"p": p}, beta1=1.0)
+
+
+# ---- the blocked in-place Adam update --------------------------------------
+
+
+def _plain_adam(init, steps, b1=0.9, b2=0.999, eps=1e-8):
+    """The whole-array formula the blocked update replaces, over (lr, grad) steps."""
+    p, m, v = init.copy(), np.zeros(init.shape), np.zeros(init.shape)
+    for t, (lr, g) in enumerate(steps, start=1):
+        m = m * b1 + (1 - b1) * g
+        v = v * b2 + (1 - b2) * (g * g)
+        p = p - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+    return p
+
+
+def _grad_layouts(rng, shape):
+    """Gradients for `shape`: contiguous, transposed view, read-only broadcast view."""
+    transposed = rng.normal(size=shape[::-1]).T
+    broadcast = np.broadcast_to(rng.normal(size=shape[-1:]), shape)
+    assert not broadcast.flags.writeable
+    return [rng.normal(size=shape), transposed, broadcast]
+
+
+@pytest.mark.parametrize("shape, layout", [
+    ((2 * optim._ADAM_BLOCK + 7,), "contiguous"),
+    ((3, optim._ADAM_BLOCK // 2 + 5), "contiguous"),
+    ((3, optim._ADAM_BLOCK // 2 + 5), "transposed"),
+    ((1,), "contiguous"),
+    ((), "contiguous"),
+    ((5, 3), "transposed"),
+])
+def test_adam_blocked_update_is_bitwise_the_plain_formula(shape, layout):
+    rng = np.random.default_rng(11)
+    init = rng.normal(size=shape)
+    if layout == "transposed":
+        init = np.ascontiguousarray(init.T).T
+        assert not init.flags.c_contiguous
+    steps = list(zip((0.01, 0.003, 0.02), _grad_layouts(rng, shape)))
+    want = _plain_adam(init, steps)
+    p = Tensor(init, requires_grad=True, name="p")
+    opt = Adam({"p": p})
+    for lr, g in steps:
+        p.grad = g
+        opt.step(lr)
+    assert p.data.shape == shape
+    np.testing.assert_array_equal(p.data, want)
+
+
+def test_adam_step_allocates_no_parameter_sized_temporaries():
+    # The desk stub W1 alone is 1024 x 2048 floats = 16.8 MB; the whole-array
+    # formula makes several temporaries that size in one step.
+    params = HopePipeline(PipelineConfig(), seed=0).stub_refine_parameters()
+    rng = np.random.default_rng(2)
+    opt = Adam(params)
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    tracemalloc.start()
+    try:
+        opt.step(1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is None for p in params.values())
+    assert peak < 1e6, f"peak {peak / 1e6:.2f} MB"

@@ -1,5 +1,7 @@
 """The full cascade: raster stub, 2D refinement, loss contract, inference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from graphlift.pipeline import (HopeLossWeights, HopePipeline, PipelineConfig,
                                 hope_loss, hope_loss_terms, predict,
                                 rasterize_keypoints)
 from graphlift.synth import generate_dataset
-from graphlift.tensor import Tensor
+from graphlift.tensor import Tensor, concat_features, matmul, mse
 from graphlift.unet import UNetConfig
 
 SMALL = PipelineConfig(unet=UNetConfig(feature_schedule=(4, 8, 8, 16)),
@@ -110,6 +112,55 @@ def test_refine_matches_composed_matrix_ops(records):
         if i < 2:
             h = np.maximum(h, 0.0)
     np.testing.assert_allclose(out, h * SMALL.refine_output_scale, atol=1e-10)
+
+
+def test_refine_broadcast_features_match_ones_matmul(records):
+    # The node features once came from ones(29, 1) @ features; the broadcast
+    # must give the same forward bits and the same features gradient.
+    pipe = HopePipeline(SMALL, seed=4)
+    batch = np.stack([r.gt2d for r in records])
+    features, init2d = pipe.stub.encode_batch(batch)
+    out = pipe.refine.forward(features, init2d)
+    g = np.random.default_rng(5).normal(size=out.shape)
+    (out * Tensor(g)).sum().backward()
+    got_grad = pipe.stub.W1.grad
+
+    features, init2d = pipe.stub.encode_batch(batch)
+    per_node = matmul(Tensor(np.ones((29, 1))),
+                      features.reshape(len(batch), 1, SMALL.feature_width))
+    h = concat_features([per_node, (init2d - SMALL.input_center) * (1.0 / SMALL.input_scale)])
+    for layer in pipe.refine.layers:
+        h = layer.forward(h)
+    want = h * SMALL.refine_output_scale
+    np.testing.assert_array_equal(out.data, want.data)
+    (want * Tensor(g)).sum().backward()
+    want_grad = pipe.stub.W1.grad
+    assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+
+def test_stage1_step_allocation_peak():
+    # Desk widths at batch 8.  Zero-filled gradient buffers for every tape
+    # node, or a (B, 29, 2048) copy of the features before the concat,
+    # each push the peak past the bound.
+    pipe = HopePipeline(seed=0)
+    gt2d = np.random.default_rng(6).uniform(0.0, 640.0, size=(8, 29, 2))
+    w = HopeLossWeights()
+
+    def forward_backward():
+        features, init2d = pipe.stub.encode_batch(gt2d)
+        refined = pipe.refine.forward(features, init2d)
+        (mse(init2d, gt2d) * w.alpha + mse(refined, gt2d) * w.beta).backward()
+
+    forward_backward()
+    for p in pipe.stub_refine_parameters().values():
+        p.grad = None
+    tracemalloc.start()
+    try:
+        forward_backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 42 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_refine_rejects_bad_shapes():

@@ -123,6 +123,34 @@ def test_concat_leading_shape_mismatch():
         concat_features([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))])
 
 
+@pytest.mark.parametrize("shapes", [
+    [(3, 1, 5), (3, 4, 2)],
+    [(5,), (2, 4, 3)],
+    [(1, 4, 2), (3, 1, 1), (3, 4, 0)],
+])
+def test_concat_broadcast_matches_explicit_broadcast(shapes):
+    rng = np.random.default_rng(12)
+    ts = [Tensor(rng.normal(size=s)) for s in shapes]
+    lead = np.broadcast_shapes(*(s[:-1] for s in shapes))
+    want = np.concatenate([np.broadcast_to(t.data, lead + t.shape[-1:]) for t in ts],
+                          axis=-1)
+    np.testing.assert_array_equal(concat_features(ts).data, want)
+
+
+def test_concat_broadcast_gradient_matches_ones_matmul():
+    # RefineNet's shape: one feature row per sample joins every node's row.
+    rng = np.random.default_rng(13)
+    b, n, f = 4, 29, 64
+    feats = Tensor(rng.normal(size=(b, 1, f)), requires_grad=True)
+    nodes = Tensor(rng.normal(size=(b, n, 2)), requires_grad=True)
+    g = rng.normal(size=(b, n, f + 2))
+    (concat_features([feats, nodes]) * Tensor(g)).sum().backward()
+    # the formula of ones(n, 1) @ feats, the copy the broadcast replaces
+    want = _unbroadcast(np.ones((1, n)) @ g[..., :f], feats.shape)
+    assert _rel_err(feats.grad, want) <= 1e-12
+    np.testing.assert_array_equal(nodes.grad, g[..., f:])
+
+
 def test_mse_value():
     assert mse(Tensor([0.0, 0.0]), [3.0, 4.0]).item() == 12.5
 
@@ -197,6 +225,31 @@ def test_backward_resets_previous_gradients():
     (x * 2).sum().backward()
     # not accumulated across calls
     np.testing.assert_array_equal(x.grad, [2.0])
+
+
+def test_first_gradient_write_adopts_the_array():
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([0.5, 0.5], requires_grad=True)
+    out = a + b
+    (out * Tensor([3.0, 4.0])).sum().backward()
+    assert a.grad is out.grad and b.grad is out.grad
+    np.testing.assert_array_equal(a.grad, [3.0, 4.0])
+
+
+def test_fan_out_leaves_the_adopted_gradient_untouched():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = x + x
+    (y * Tensor([3.0, 5.0])).sum().backward()
+    np.testing.assert_array_equal(x.grad, [6.0, 10.0])
+    np.testing.assert_array_equal(y.grad, [3.0, 5.0])
+
+
+def test_node_without_contribution_gets_zeros():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    empty = Tensor(np.zeros((2, 0)), requires_grad=True)
+    concat_features([a, empty]).sum().backward()
+    assert empty.grad.shape == (2, 0)
+    np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
 
 
 def test_diamond_graph_accumulates():
