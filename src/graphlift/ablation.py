@@ -121,10 +121,6 @@ def run_one(suite: str, variant: str, seed: int, records: list[SampleRecord],
     return AblationRun(suite, variant, seed, status, initial, final)
 
 
-def _run_one_star(args) -> AblationRun:
-    return run_one(*args)
-
-
 def run_ablation(suite: str, records: list[SampleRecord],
                  seeds=DEFAULT_SEEDS, config: AblationConfig = AblationConfig(),
                  jobs: int = 1) -> list[AblationRun]:
@@ -141,8 +137,8 @@ def run_ablation(suite: str, records: list[SampleRecord],
              for variant in SUITES[suite] for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_one_star, tasks))
-    return [_run_one_star(t) for t in tasks]
+            return list(pool.map(run_one, *zip(*tasks)))
+    return [run_one(*t) for t in tasks]
 
 
 def summarize(runs: list[AblationRun]) -> list[dict]:

@@ -9,6 +9,7 @@ the parameter values as little-endian float64 in manifest order.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Mapping
 
@@ -65,7 +66,7 @@ def load_checkpoint(base: str) -> tuple[dict[str, np.ndarray], dict]:
             manifest = json.load(f)
     except FileNotFoundError:
         raise CheckpointFormatError(f"missing checkpoint manifest {manifest_path(base)}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CheckpointFormatError(f"unreadable checkpoint manifest: {e}")
     if not isinstance(manifest, dict) or manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointFormatError(
@@ -81,28 +82,33 @@ def load_checkpoint(base: str) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointFormatError(f"missing checkpoint blob {blob_path(base)}")
 
     out: dict[str, np.ndarray] = {}
-    total = 0
+    spans = []
     for name, meta in entries.items():
-        if meta.get("dtype") != "f64":
-            raise CheckpointFormatError(f"param {name!r} has unsupported dtype {meta.get('dtype')!r}")
-        shape = tuple(meta.get("shape", ()))
-        if not all(isinstance(n, int) and n >= 0 for n in shape):
-            raise CheckpointFormatError(f"param {name!r} has a bad shape {shape}")
+        if not isinstance(meta, dict) or meta.get("dtype") != "f64":
+            raise CheckpointFormatError(f"param {name!r} is not an f64 entry: {meta!r}")
+        shape = meta.get("shape", [])
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise CheckpointFormatError(f"param {name!r} has a bad shape {shape!r}")
+        shape = tuple(shape)
         offset = meta.get("offset")
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)   # Python ints: a huge shape cannot wrap around
         nbytes = size * 8
-        if not isinstance(offset, int) or offset < 0 or offset + nbytes > len(blob):
+        if type(offset) is not int or offset < 0 or offset + nbytes > len(blob):
             raise CheckpointFormatError(f"param {name!r} points outside the blob")
         arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
         arr = arr.astype(np.float64).reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise CheckpointFormatError(f"param {name!r} contains non-finite values")
         out[name] = arr
-        total += nbytes
-    if total != len(blob):
-        raise CheckpointFormatError(
-            f"blob size {len(blob)} does not match manifest total {total}"
-        )
+        spans.append((offset, nbytes))
+    # sorted by offset, the params must tile the blob: no overlap, no gap
+    end = 0
+    for offset, nbytes in sorted(spans):
+        if offset != end:
+            raise CheckpointFormatError(f"param byte ranges overlap or leave a gap at {offset}")
+        end += nbytes
+    if end != len(blob):
+        raise CheckpointFormatError(f"blob size {len(blob)} does not match manifest total {end}")
     config = manifest.get("config", {})
     if not isinstance(config, dict):
         raise CheckpointFormatError("checkpoint config must be a JSON object")

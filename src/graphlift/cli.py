@@ -25,11 +25,11 @@ from .gradcheck import grad_check
 from .layers import AdaptiveGraphConvLayer, GPoolLayer, NodeMap, partition_matrix, uniform_init
 from .metrics import auc, curve_to_csv, default_thresholds, pcp_curve, per_joint_errors
 from .models import load_model, save_model
-from .pipeline import HopePipeline, PipelineConfig, hope_loss
+from .pipeline import HopePipeline, PipelineConfig, hope_loss_terms
 from .synth import generate_dataset, load_dataset, save_dataset, records_to_arrays
 from .tensor import Tensor, mse
 from .training import (
-    TrainConfig, pipeline_predictions, unet_predictions,
+    TrainConfig, mean_keypoint_error, pipeline_predictions, unet_predictions,
     train as train_pipeline,
 )
 from .unet import UNetConfig, GraphUNetModel
@@ -155,8 +155,6 @@ def _parse_int_list(text: str, flag: str) -> tuple:
         values = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
-    if not values:
-        raise UsageError(f"{flag} must not be empty")
     return values
 
 
@@ -204,8 +202,7 @@ def cmd_eval(args) -> int:
         c2d = pcp_curve(refined2d, gt2d, thresholds)
         curve_to_csv(c2d, os.path.join(args.report, "curve_2d.csv"))
         summary.append(("auc_2d", auc(c2d)))
-        summary.append(("mean_error_2d_px",
-                        float(np.linalg.norm(refined2d - gt2d, axis=-1).mean())))
+        summary.append(("mean_error_2d_px", mean_keypoint_error(refined2d, gt2d)))
     else:
         pred3d = unet_predictions(model, gt2d)
 
@@ -314,7 +311,7 @@ def _gradcheck_cases(target: str, seed: int):
 
         def loss():
             init2d, refined, pred3d = pipe.forward_batch(coords)
-            return hope_loss(init2d, refined, pred3d, coords, gt3d)
+            return hope_loss_terms(init2d, refined, pred3d, coords, gt3d)[0]
 
         cases.append(("pipeline", loss, pipe.parameters()))
     else:

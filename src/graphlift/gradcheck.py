@@ -9,7 +9,7 @@ gradients do not blow up the ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -26,7 +26,6 @@ class GradCheckReport:
     num_checked: int
     worst_param: str = ""
     worst_index: tuple = ()
-    details: list = field(default_factory=list)
 
     def ok(self, tol: float = 1e-4) -> bool:
         return self.max_rel_err < tol
@@ -34,8 +33,7 @@ class GradCheckReport:
 
 def grad_check(fn: Callable[[], Tensor], params: Mapping[str, Tensor],
                eps: float = 1e-5, num_coords: int = 100,
-               rng: np.random.Generator | None = None,
-               record_details: bool = False) -> GradCheckReport:
+               rng: np.random.Generator | None = None) -> GradCheckReport:
     """Compare analytic gradients of a scalar-valued fn against central differences.
 
     fn must be deterministic and return a scalar Tensor computed from the
@@ -91,8 +89,6 @@ def grad_check(fn: Callable[[], Tensor], params: Mapping[str, Tensor],
         fd = (f_plus - f_minus) / (2 * h)
         an = analytic[k][idx]
         rel = abs(an - fd) / max(1.0, abs(an), abs(fd))
-        if record_details:
-            report.details.append((k, i, an, fd, rel))
         if rel > report.max_rel_err:
             report.max_rel_err = rel
             report.worst_param = k

@@ -100,22 +100,15 @@ class KeypointGraph:
     def tip_indices(self) -> np.ndarray:
         return self.joint_type_indices("tip")
 
-    def resolve_subset(self, subset) -> np.ndarray:
-        """Map 'all' / 'hand' / 'object' or an index sequence to node indices."""
-        if isinstance(subset, str):
-            if subset == "all":
-                return np.arange(NUM_NODES)
-            if subset == "hand":
-                return self.hand_indices
-            if subset == "object":
-                return self.object_indices
-            raise DomainError(f"unknown keypoint subset {subset!r}")
-        idx = np.asarray(subset, dtype=np.intp)
-        if idx.ndim != 1 or idx.size == 0:
-            raise DomainError("keypoint subset must be a non-empty flat index list")
-        if idx.min() < 0 or idx.max() >= NUM_NODES:
-            raise DomainError(f"keypoint subset index out of range for {NUM_NODES} nodes")
-        return idx
+    def resolve_subset(self, subset: str) -> np.ndarray:
+        """Map 'all' / 'hand' / 'object' to node indices."""
+        if subset == "all":
+            return np.arange(NUM_NODES)
+        if subset == "hand":
+            return self.hand_indices
+        if subset == "object":
+            return self.object_indices
+        raise DomainError(f"unknown keypoint subset {subset!r}")
 
 
 def default_graph() -> KeypointGraph:

@@ -47,13 +47,9 @@ class PcpCurve:
 
 
 def _distances(preds, gts) -> np.ndarray:
-    """Per-sample per-node Euclidean distances, shape (N, 29)."""
+    """Per-sample per-node Euclidean distances of (N, 29, 2|3) arrays, shape (N, 29)."""
     p = np.asarray(preds, dtype=np.float64)
     g = np.asarray(gts, dtype=np.float64)
-    if p.ndim == 2:
-        p = p[None]
-    if g.ndim == 2:
-        g = g[None]
     if p.shape != g.shape:
         raise DimensionError(f"prediction shape {p.shape} != ground truth shape {g.shape}")
     if p.ndim != 3 or p.shape[1] != NUM_NODES or p.shape[2] not in (2, 3):

@@ -14,33 +14,22 @@ import numpy as np
 
 from .adjacency import normalize_adjacency
 from .checkpoint import load_checkpoint, load_state, save_checkpoint
-from .errors import CheckpointFormatError, DimensionError
+from .errors import CheckpointFormatError, DomainError
 from .keypoints import NUM_NODES, default_graph
 from .layers import uniform_init
 from .pipeline import HopePipeline, PipelineConfig
-from .tensor import Tensor, concat_features, matmul, relu
-from .unet import GraphUNetModel, UNetConfig
+from .tensor import Tensor, matmul, relu
+from .unet import GraphUNetModel, UNetConfig, lift_input
 
 __all__ = ["FcBaselineModel", "PlainGcnModel", "save_model", "load_model"]
 
 
 class _LiftModelBase:
-    """Shared plumbing for 29x2 -> 29x3 models."""
+    """Shared plumbing for (B, 29, 2) -> (B, 29, 3) models."""
 
     input_center = 320.0
     input_scale = 160.0
     output_scale = 250.0
-
-    def _normalize(self, coords2d) -> tuple[Tensor, bool]:
-        x = coords2d if isinstance(coords2d, Tensor) else Tensor(coords2d)
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x.reshape(1, *x.shape)
-        if x.ndim != 3 or x.shape[1:] != (NUM_NODES, 2):
-            raise DimensionError(f"expected ({NUM_NODES}, 2) inputs, got {x.shape}")
-        ones = Tensor(np.ones((x.shape[0], NUM_NODES, 1)))
-        h = concat_features([(x - self.input_center) * (1.0 / self.input_scale), ones])
-        return h, squeeze
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters().values())
@@ -61,15 +50,12 @@ class FcBaselineModel(_LiftModelBase):
                                        requires_grad=True, name=f"fc{i}.W"))
 
     def forward(self, coords2d) -> Tensor:
-        h, squeeze = self._normalize(coords2d)
+        h = lift_input(coords2d, self.input_center, self.input_scale)
         h = h.reshape(h.shape[0], NUM_NODES * 3)
         for w in self.weights[:-1]:
             h = relu(matmul(h, w))
         y = matmul(h, self.weights[-1]).reshape(h.shape[0], NUM_NODES, 3)
-        y = y * self.output_scale
-        if squeeze:
-            y = y.reshape(NUM_NODES, 3)
-        return y
+        return y * self.output_scale
 
     def parameters(self) -> dict[str, Tensor]:
         return {w.name: w for w in self.weights}
@@ -93,16 +79,13 @@ class PlainGcnModel(_LiftModelBase):
                                        requires_grad=True, name=f"conv{i}.W"))
 
     def forward(self, coords2d) -> Tensor:
-        h, squeeze = self._normalize(coords2d)
+        h = lift_input(coords2d, self.input_center, self.input_scale)
         last = len(self.weights) - 1
         for i, w in enumerate(self.weights):
             h = matmul(self.adjacency, matmul(h, w))
             if i < last:
                 h = relu(h)
-        y = h * self.output_scale
-        if squeeze:
-            y = y.reshape(NUM_NODES, 3)
-        return y
+        return h * self.output_scale
 
     def parameters(self) -> dict[str, Tensor]:
         return {w.name: w for w in self.weights}
@@ -121,7 +104,7 @@ def load_model(base: str):
     kind = config.get("kind")
     try:
         if kind == "unet":
-            model = GraphUNetModel(UNetConfig.from_dict(config["unet"]),
+            model = GraphUNetModel(UNetConfig(**config["unet"]),
                                    seed=int(config.get("seed", 0)))
         elif kind == "pipeline":
             model = HopePipeline(PipelineConfig.from_dict(config["pipeline"]),
@@ -134,7 +117,7 @@ def load_model(base: str):
                                   seed=int(config.get("seed", 0)))
         else:
             raise CheckpointFormatError(f"checkpoint has unknown model kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, DomainError) as e:
         raise CheckpointFormatError(f"checkpoint config is malformed: {e}")
     load_state(model, arrays)
     return model

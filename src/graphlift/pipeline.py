@@ -19,13 +19,12 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .layers import AdaptiveGraphConvLayer, uniform_init
 from .keypoints import NUM_NODES
-from .synth import SampleRecord
-from .tensor import Tensor, concat_features, matmul, mse, no_grad
+from .tensor import Tensor, concat_features, matmul, mse
 from .unet import GraphUNetModel, UNetConfig
 
 __all__ = [
     "PipelineConfig", "HopeLossWeights", "StubFeatureProvider", "RefineNet",
-    "HopePipeline", "hope_loss", "hope_loss_terms", "predict", "rasterize_keypoints",
+    "HopePipeline", "hope_loss_terms", "rasterize_keypoints",
 ]
 
 
@@ -58,18 +57,9 @@ class PipelineConfig:
         if any(w < 1 for w in self.refine_widths):
             raise DomainError("refine widths must be positive")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["unet"] = self.unet.to_dict()
-        d["refine_widths"] = list(self.refine_widths)
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
-        d["unet"] = UNetConfig.from_dict(d["unet"])
-        d["refine_widths"] = tuple(d["refine_widths"])
-        return cls(**d)
+        return cls(**{**d, "unet": UNetConfig(**d["unet"])})
 
 
 def rasterize_keypoints(coords2d, grid: int = 32, image_size: float = 640.0) -> np.ndarray:
@@ -79,9 +69,6 @@ def rasterize_keypoints(coords2d, grid: int = 32, image_size: float = 640.0) -> 
     outside the image clamp to the border cells.
     """
     pts = np.asarray(coords2d, dtype=np.float64)
-    squeeze = pts.ndim == 2
-    if squeeze:
-        pts = pts[None]
     if pts.ndim != 3 or pts.shape[-1] != 2:
         raise DimensionError(f"expected (B, N, 2) keypoints, got {pts.shape}")
     cell = image_size / grid
@@ -91,11 +78,11 @@ def rasterize_keypoints(coords2d, grid: int = 32, image_size: float = 640.0) -> 
     out = np.zeros((pts.shape[0], grid * grid))
     b = np.repeat(np.arange(pts.shape[0]), pts.shape[1])
     out[b, flat.reshape(-1)] = 1.0
-    return out[0] if squeeze else out
+    return out
 
 
 class StubFeatureProvider:
-    """Maps a sample to a feature vector plus an initial 29x2 estimate by
+    """Maps a batch of samples to features plus initial 29x2 estimates by
     trainable linear maps over a keypoint raster: grid cells -> features
     -> initial 2D head (with a bias so the head can shift to image scale)."""
 
@@ -113,17 +100,10 @@ class StubFeatureProvider:
         """(B, 29, 2) ground-truth pixels -> features (B, 2048), init2d (B, 29, 2)."""
         raster = rasterize_keypoints(coords2d_batch, self.config.raster_grid,
                                      self.config.image_size)
-        if raster.ndim == 1:
-            raster = raster[None]
-        r = Tensor(raster)
-        features = matmul(r, self.W1)
+        features = matmul(Tensor(raster), self.W1)
         head = matmul(features, self.W2) + self.b2
         init2d = head.reshape(head.shape[0], NUM_NODES, 2) * self.config.stub_output_scale
         return features, init2d
-
-    def encode(self, sample: SampleRecord) -> tuple[Tensor, Tensor]:
-        features, init2d = self.encode_batch(sample.gt2d[None])
-        return features.reshape(self.config.feature_width), init2d.reshape(NUM_NODES, 2)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"W1": self.W1, "W2": self.W2, "b2": self.b2}
@@ -146,27 +126,20 @@ class RefineNet:
         ]
 
     def forward(self, features: Tensor, init2d: Tensor) -> Tensor:
+        """(B, feature_width) features and (B, 29, 2) estimates -> (B, 29, 2) pixels."""
         cfg = self.config
-        squeeze = init2d.ndim == 2
-        if squeeze:
-            init2d = init2d.reshape(1, *init2d.shape)
-        if features.ndim == 1:
-            features = features.reshape(1, features.shape[0])
-        if features.shape[-1] != cfg.feature_width:
+        if features.ndim != 2 or features.shape[-1] != cfg.feature_width:
             raise DimensionError(
-                f"expected {cfg.feature_width} image features, got {features.shape[-1]}"
+                f"expected (B, {cfg.feature_width}) image features, got {features.shape}"
             )
-        if init2d.shape[1:] != (NUM_NODES, 2):
-            raise DimensionError(f"expected ({NUM_NODES}, 2) estimates, got {init2d.shape}")
+        if init2d.ndim != 3 or init2d.shape[1:] != (NUM_NODES, 2):
+            raise DimensionError(f"expected (B, {NUM_NODES}, 2) estimates, got {init2d.shape}")
         scaled = (init2d - cfg.input_center) * (1.0 / cfg.input_scale)
         h = concat_features([features.reshape(features.shape[0], 1, features.shape[-1]),
                              scaled])
         for layer in self.layers:
             h = layer.forward(h)
-        out = h * cfg.refine_output_scale
-        if squeeze:
-            out = out.reshape(NUM_NODES, 2)
-        return out
+        return h * cfg.refine_output_scale
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}
@@ -199,19 +172,16 @@ class HopePipeline:
         out.update({f"refine.{k}": v for k, v in self.refine.parameters().items()})
         return out
 
-    def unet_parameters(self) -> dict[str, Tensor]:
-        return {f"unet.{k}": v for k, v in self.unet.parameters().items()}
-
     def parameters(self) -> dict[str, Tensor]:
         out = self.stub_refine_parameters()
-        out.update(self.unet_parameters())
+        out.update({f"unet.{k}": v for k, v in self.unet.parameters().items()})
         return out
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters().values())
 
     def config_dict(self) -> dict:
-        return {"kind": "pipeline", "seed": self.seed, "pipeline": self.config.to_dict()}
+        return {"kind": "pipeline", "seed": self.seed, "pipeline": asdict(self.config)}
 
 
 def hope_loss_terms(init2d, refined2d, pred3d, gt2d, gt3d,
@@ -226,17 +196,3 @@ def hope_loss_terms(init2d, refined2d, pred3d, gt2d, gt3d,
     l_3d = mse(pred3d, gt3d)
     total = l_init * weights.alpha + l_2d * weights.beta + l_3d
     return total, l_init, l_2d, l_3d
-
-
-def hope_loss(init2d, refined2d, pred3d, gt2d, gt3d,
-              weights: HopeLossWeights = HopeLossWeights()) -> Tensor:
-    total, _, _, _ = hope_loss_terms(init2d, refined2d, pred3d, gt2d, gt3d, weights)
-    return total
-
-
-def predict(pipeline: HopePipeline, sample: SampleRecord) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic full-cascade inference, recording no autodiff tape:
-    refined 2D px, predicted 3D mm."""
-    with no_grad():
-        _, refined, pred3d = pipeline.forward_batch(sample.gt2d[None])
-    return refined.data[0].copy(), pred3d.data[0].copy()

@@ -267,33 +267,36 @@ def save_dataset(path: str, records: list[SampleRecord]) -> None:
 def load_dataset(path: str) -> list[SampleRecord]:
     records = []
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetFormatError(f"{path}:{lineno}: not valid JSON ({e.msg})")
-            if not isinstance(row, dict):
-                raise DatasetFormatError(f"{path}:{lineno}: record must be a JSON object")
-            for name in _REQUIRED_FIELDS:
-                if name not in row:
-                    raise DatasetFormatError(f"{path}:{lineno}: missing field {name!r}")
-            if row["schema_version"] != SCHEMA_VERSION:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: unsupported schema_version {row['schema_version']!r}"
-                )
-            try:
-                rec = SampleRecord(
-                    id=int(row["id"]),
-                    gt3d=np.array(row["gt3d"], dtype=np.float64),
-                    gt2d=np.array(row["gt2d"], dtype=np.float64),
-                    camera=Camera.from_dict(row["camera"]),
-                    meta=row.get("meta", {}),
-                )
-            except (KeyError, TypeError, ValueError, DimensionError, DomainError) as e:
-                raise DatasetFormatError(f"{path}:{lineno}: bad record ({e})")
-            records.append(rec)
+        try:
+            for lineno, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise DatasetFormatError(f"{path}:{lineno}: not valid JSON ({e.msg})")
+                if not isinstance(row, dict):
+                    raise DatasetFormatError(f"{path}:{lineno}: record must be a JSON object")
+                for name in _REQUIRED_FIELDS:
+                    if name not in row:
+                        raise DatasetFormatError(f"{path}:{lineno}: missing field {name!r}")
+                if row["schema_version"] != SCHEMA_VERSION:
+                    raise DatasetFormatError(
+                        f"{path}:{lineno}: unsupported schema_version {row['schema_version']!r}"
+                    )
+                try:
+                    rec = SampleRecord(
+                        id=int(row["id"]),
+                        gt3d=np.array(row["gt3d"], dtype=np.float64),
+                        gt2d=np.array(row["gt2d"], dtype=np.float64),
+                        camera=Camera.from_dict(row["camera"]),
+                        meta=row.get("meta", {}),
+                    )
+                except (KeyError, TypeError, ValueError, DimensionError, DomainError) as e:
+                    raise DatasetFormatError(f"{path}:{lineno}: bad record ({e})")
+                records.append(rec)
+        except UnicodeDecodeError as e:
+            raise DatasetFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
     if not records:
         raise DatasetFormatError(f"{path}: dataset is empty")
     return records

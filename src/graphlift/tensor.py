@@ -66,11 +66,6 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
-def _as_f64(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
-
-
 def _accumulate(t: "Tensor", g: np.ndarray) -> None:
     """Add the contribution `g` to t.grad.
 
@@ -102,7 +97,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = _as_f64(data)
+        arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise NumericError("tensor constructed from non-finite values")
         self.data = arr
@@ -151,9 +146,6 @@ class Tensor:
         if self.data.size != 1:
             raise DimensionError(f"item() needs a single element, got shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # ---- autodiff ------------------------------------------------------
 
@@ -210,15 +202,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Tensor":
-        a = self
-        out = Tensor._from_op(-a.data, (a,), None)
-        if out.requires_grad:
-            def backward(g):
-                _accumulate(a, -g)
-            out._backward = backward
-        return out
-
     def __sub__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         a, b = self, other
@@ -231,9 +214,6 @@ class Tensor:
                     _accumulate(b, _unbroadcast(-g, b.data.shape))
             out._backward = backward
         return out
-
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor._lift(other) - self
 
     def __mul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
@@ -263,12 +243,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor._lift(other) / self
-
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
-
     # ---- shape ops -----------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
@@ -296,12 +270,6 @@ class Tensor:
                     _accumulate(a, np.broadcast_to(gg, a.data.shape))
             out._backward = backward
         return out
-
-    def mean(self) -> "Tensor":
-        n = self.data.size
-        if n == 0:
-            raise DomainError("mean of an empty tensor")
-        return self.sum() * (1.0 / n)
 
     def sqrt(self) -> "Tensor":
         a = self
@@ -429,7 +397,7 @@ def concat_features(tensors: Sequence[Tensor]) -> Tensor:
 def mse(pred: Tensor, target) -> Tensor:
     """Mean squared error over all elements; returns a scalar tensor."""
     pred = Tensor._lift(pred)
-    tgt = target.data if isinstance(target, Tensor) else _as_f64(target)
+    tgt = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
     if pred.data.shape != tgt.shape:
         raise DimensionError(
             f"mse operands must match exactly: {pred.data.shape} vs {tgt.shape}"

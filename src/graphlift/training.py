@@ -27,7 +27,7 @@ from .tensor import mse, no_grad
 
 __all__ = [
     "TrainConfig", "TrainingLog", "train", "train_unet_stage2",
-    "stage_schedule", "eval_unet_mean_error", "eval_pipeline_errors",
+    "stage_schedule", "eval_unet_mean_error", "mean_keypoint_error",
     "unet_predictions", "pipeline_predictions", "PRESET_EPOCHS",
 ]
 
@@ -183,7 +183,7 @@ def _stage2_loss(model, gt2d: np.ndarray, gt3d: np.ndarray, noise_sigma: float,
 def train_unet_stage2(model, records: list[SampleRecord], epochs: int,
                       batch_size: int = 32, noise_sigma: float = 10.0,
                       optimizer: str = "adam", seed: int = 0,
-                      schedule: SgdSchedule | None = None, start_step: int = 0,
+                      schedule: SgdSchedule | None = None,
                       on_step=None) -> TrainingLog:
     """Train a 2D->3D node model on (noisy gt2d -> gt3d) pairs.
 
@@ -198,14 +198,14 @@ def train_unet_stage2(model, records: list[SampleRecord], epochs: int,
     if schedule is None:
         schedule = stage_schedule(2, epochs, math.ceil(n / batch_size))
     log = TrainingLog()
-    _run_stage(log, 2, start_step, model.parameters(), optimizer,
+    _run_stage(log, 2, 0, model.parameters(), optimizer,
                _stage2_loss(model, gt2d, gt3d, noise_sigma, seed), n, epochs,
                batch_size, np.random.default_rng([seed, 1]), schedule, on_step)
     return log
 
 
 def train(pipeline: HopePipeline, records: list[SampleRecord],
-          config: TrainConfig = TrainConfig(), log_path: str | None = None) -> TrainingLog:
+          config: TrainConfig = TrainConfig()) -> TrainingLog:
     """Run the three-stage schedule on the full cascade.
 
     Raises TrainingDiverged (with the partial log attached) on a
@@ -252,9 +252,6 @@ def train(pipeline: HopePipeline, records: list[SampleRecord],
         return total, {"loss_init2d": l_init, "loss_2d": l_2d, "loss_3d": l_3d}
 
     run(3, pipeline.parameters(), stage3_loss, 33)
-
-    if log_path is not None:
-        log.write_csv(log_path)
     return log
 
 
@@ -298,11 +295,3 @@ def pipeline_predictions(pipeline: HopePipeline, records: list[SampleRecord],
             refined_out.append(refined.data)
             pred_out.append(pred3d.data)
     return np.concatenate(refined_out, axis=0), np.concatenate(pred_out, axis=0)
-
-
-def eval_pipeline_errors(pipeline: HopePipeline, records: list[SampleRecord],
-                         chunk: int = 64) -> tuple[float, float]:
-    """(mean 2D refined error px, mean 3D error mm) over the records."""
-    gt2d, gt3d = records_to_arrays(records)
-    refined, pred3d = pipeline_predictions(pipeline, records, chunk)
-    return mean_keypoint_error(refined, gt2d), mean_keypoint_error(pred3d, gt3d)

@@ -17,7 +17,7 @@ exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,12 +28,12 @@ from .layers import (AdaptiveGraphConvLayer, GPoolLayer, NodeMap, partition_matr
                      scatter_rows_batched, uniform_init)
 from .tensor import Tensor, concat_features
 
-__all__ = ["UNetConfig", "GraphUNetModel", "build_default_unet",
+__all__ = ["UNetConfig", "GraphUNetModel", "lift_input",
            "POOLING_VARIANTS", "DEFAULT_UNET_PARAM_COUNT"]
 
 POOLING_VARIANTS = ("trainable", "gpool", "fixed")
 
-# Trainable parameter count of build_default_unet (verified by test): all
+# Trainable parameter count of the default UNetConfig (verified by test): all
 # conv kernels A and weights W plus one pool/unpool matrix per level.
 DEFAULT_UNET_PARAM_COUNT = 434_755
 
@@ -73,15 +73,15 @@ class UNetConfig:
         if not (self.input_scale > 0 and self.output_scale > 0):
             raise DomainError("scales must be positive")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["node_schedule"] = list(self.node_schedule)
-        d["feature_schedule"] = list(self.feature_schedule)
-        return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "UNetConfig":
-        return cls(**{k: (tuple(v) if k.endswith("_schedule") else v) for k, v in d.items()})
+def lift_input(coords2d, center: float, scale: float, width: int = 2) -> Tensor:
+    """(B, 29, width) pixels -> (B, 29, width + 1): (x - center) / scale with
+    the constant ones column appended, the input map of every lift model."""
+    x = coords2d if isinstance(coords2d, Tensor) else Tensor(coords2d)
+    if x.ndim != 3 or x.shape[1:] != (NUM_NODES, width):
+        raise DimensionError(f"expected (B, {NUM_NODES}, {width}) inputs, got {x.shape}")
+    ones = Tensor(np.ones((x.shape[0], NUM_NODES, 1)))
+    return concat_features([(x - center) * (1.0 / scale), ones])
 
 
 class GraphUNetModel:
@@ -138,19 +138,9 @@ class GraphUNetModel:
         return NodeMap(partition_matrix(groups, n_out, "broadcast"), "U", trainable=False)
 
     def forward(self, coords2d) -> Tensor:
-        """Lift 2D pixel keypoints (29x2 or batched Bx29x2) to 3D millimeters."""
-        x = coords2d if isinstance(coords2d, Tensor) else Tensor(coords2d)
+        """Lift (B, 29, 2) pixel keypoints to (B, 29, 3) millimeters."""
         cfg = self.config
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x.reshape(1, *x.shape)
-        if x.ndim != 3 or x.shape[1:] != (cfg.node_schedule[0], cfg.in_features):
-            raise DimensionError(
-                f"expected input shape ({cfg.node_schedule[0]}, {cfg.in_features}) "
-                f"or batched, got {coords2d.shape if hasattr(coords2d, 'shape') else '?'}"
-            )
-        ones = Tensor(np.ones((x.shape[0], cfg.node_schedule[0], 1)))
-        h = concat_features([(x - cfg.input_center) * (1.0 / cfg.input_scale), ones])
+        h = lift_input(coords2d, cfg.input_center, cfg.input_scale, cfg.in_features)
         skips = []
         pool_indices = []
         levels = len(cfg.node_schedule) - 1
@@ -171,10 +161,7 @@ class GraphUNetModel:
                 h = self.unpools[j].forward(h)
             h = concat_features([skips[lvl], h])
             h = self.dec_convs[j].forward(h)
-        y = self.final.forward(h) * cfg.output_scale
-        if squeeze:
-            y = y.reshape(cfg.node_schedule[0], cfg.out_features)
-        return y
+        return self.final.forward(h) * cfg.output_scale
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -201,11 +188,4 @@ class GraphUNetModel:
         return sum(p.size for p in self.parameters().values())
 
     def config_dict(self) -> dict:
-        return {"kind": "unet", "seed": self.seed, "unet": self.config.to_dict()}
-
-
-def build_default_unet(seed: int = 0, pooling: str = "trainable",
-                       adjacency_init: str = "identity") -> GraphUNetModel:
-    """The default architecture: nodes 29-15-8-4, widths 64-128-256-512."""
-    return GraphUNetModel(UNetConfig(pooling=pooling, adjacency_init=adjacency_init),
-                          seed=seed)
+        return {"kind": "unet", "seed": self.seed, "unet": asdict(self.config)}

@@ -19,7 +19,7 @@ from graphlift.cli import main
 from graphlift.gradcheck import grad_check
 from graphlift.layers import AdaptiveGraphConvLayer, GPoolLayer, NodeMap, uniform_init
 from graphlift.metrics import auc, default_thresholds, pcp_curve, per_joint_errors
-from graphlift.pipeline import HopePipeline, PipelineConfig, hope_loss
+from graphlift.pipeline import HopePipeline, PipelineConfig, hope_loss_terms
 from graphlift.synth import add_noise, records_to_arrays
 from graphlift.tensor import Tensor, mse
 from graphlift.training import eval_unet_mean_error, train_unet_stage2, unet_predictions
@@ -67,7 +67,7 @@ def test_criterion_1_gradient_fidelity():
 
     def pipe_loss():
         init2d, refined, pred3d = pipe.forward_batch(coords)
-        return hope_loss(init2d, refined, pred3d, coords, gt3d)
+        return hope_loss_terms(init2d, refined, pred3d, coords, gt3d)[0]
 
     cases.append((pipe_loss, pipe.parameters()))
 
@@ -222,7 +222,7 @@ def test_criterion_8_loss_contract():
     gt2d = rng.uniform(100.0, 500.0, size=(4, 29, 2))
     gt3d = rng.normal(scale=100.0, size=(4, 29, 3))
     init2d = Tensor(gt2d + np.array([10.0, 0.0]))
-    loss = hope_loss(init2d, Tensor(gt2d.copy()), Tensor(gt3d.copy()), gt2d, gt3d)
+    loss = hope_loss_terms(init2d, Tensor(gt2d.copy()), Tensor(gt3d.copy()), gt2d, gt3d)[0]
     deviation = abs(float(loss.data) - 5.0)
     report(8, "loss contract", deviation <= 1e-12, f"deviation {deviation:.2e}")
 

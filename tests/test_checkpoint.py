@@ -69,6 +69,14 @@ def test_oversized_blob(tmp_path):
         f.write(b"\x00" * 8)
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(base)
+    # two 1-element params both at offset 0 of a 16-byte blob: the sizes add
+    # up, but the ranges overlap and leave the second half unread
+    save_checkpoint(base, {"a": np.ones(1), "b": np.full(1, 2.0)})
+    manifest = json.load(open(manifest_path(base)))
+    manifest["params"]["b"]["offset"] = 0
+    json.dump(manifest, open(manifest_path(base), "w"))
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(base)
 
 
 def test_bad_version(tmp_path):
@@ -93,16 +101,20 @@ def test_non_finite_blob_rejected(tmp_path):
 def test_corrupt_manifest_json(tmp_path):
     base = str(tmp_path / "ck")
     save_checkpoint(base, {"w": np.zeros(1)})
-    open(manifest_path(base), "w").write("{not json")
-    with pytest.raises(CheckpointFormatError):
-        load_checkpoint(base)
+    for text in (b"{not json", b'{"format_version": 1, "x": "\xff\xfe"}'):
+        open(manifest_path(base), "wb").write(text)
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(base)
 
 
 def test_bad_dtype_tag(tmp_path):
     base = str(tmp_path / "ck")
     save_checkpoint(base, {"w": np.zeros(1)})
-    manifest = json.load(open(manifest_path(base)))
-    manifest["params"]["w"]["dtype"] = "f32"
-    json.dump(manifest, open(manifest_path(base), "w"))
-    with pytest.raises(CheckpointFormatError):
-        load_checkpoint(base)
+    good = json.load(open(manifest_path(base)))["params"]["w"]
+    for entry in ({**good, "dtype": "f32"}, [good], {**good, "shape": 5},
+                  {**good, "shape": [True]}, {**good, "shape": [2**62, 8]}):
+        manifest = json.load(open(manifest_path(base)))
+        manifest["params"]["w"] = entry
+        json.dump(manifest, open(manifest_path(base), "w"))
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(base)

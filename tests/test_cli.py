@@ -96,6 +96,10 @@ def test_train_missing_data_exits_2(tmp_path):
     rc = main(["train", "--data", str(tmp_path / "nope.jsonl"),
                "--out-ckpt", str(tmp_path / "ck")])
     assert rc == 2
+    (tmp_path / "bad.jsonl").write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\xfa\n")
+    rc = main(["train", "--data", str(tmp_path / "bad.jsonl"),
+               "--out-ckpt", str(tmp_path / "ck")])
+    assert rc == 2
 
 
 def test_train_rejects_bad_stage_epochs(dataset, tmp_path):
@@ -160,6 +164,11 @@ def test_eval_unet_checkpoint_reaches_full_pcp_at_huge_threshold(
 
 
 def test_eval_missing_checkpoint_exits_2(dataset, tmp_path):
+    rc = main(["eval", "--data", dataset, "--ckpt", str(tmp_path / "ghost"),
+               "--report", str(tmp_path / "r")])
+    assert rc == 2
+    (tmp_path / "ghost.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "ghost.bin").write_bytes(b"")
     rc = main(["eval", "--data", dataset, "--ckpt", str(tmp_path / "ghost"),
                "--report", str(tmp_path / "r")])
     assert rc == 2

@@ -81,6 +81,8 @@ def test_pcp_validation():
         pcp(preds[:2], gts, 5.0)
     with pytest.raises(DimensionError):
         pcp(np.zeros((3, 21, 3)), np.zeros((3, 21, 3)), 5.0)
+    with pytest.raises(DimensionError):   # unbatched
+        pcp(preds[0], gts[0], 5.0)
 
 
 def test_pcp_curve_monotone_and_saturating():

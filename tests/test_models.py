@@ -18,10 +18,8 @@ SMALL_PIPE = PipelineConfig(unet=SMALL_UNET, feature_width=32,
                             refine_widths=(16, 8), raster_grid=8)
 
 
-def rand_input(seed=0, batch=None):
-    rng = np.random.default_rng(seed)
-    shape = (29, 2) if batch is None else (batch, 29, 2)
-    return rng.uniform(100.0, 540.0, size=shape)
+def rand_input(seed=0, batch=1):
+    return np.random.default_rng(seed).uniform(100.0, 540.0, size=(batch, 29, 2))
 
 
 # ---- fc baseline ------------------------------------------------------------
@@ -29,7 +27,7 @@ def rand_input(seed=0, batch=None):
 
 def test_fc_shapes_and_param_count():
     model = FcBaselineModel(hidden=(256, 256), seed=0)
-    assert model.forward(rand_input()).shape == (29, 3)
+    assert model.forward(rand_input()).shape == (1, 29, 3)
     assert model.forward(rand_input(batch=5)).shape == (5, 29, 3)
     # dense stack over the 87-long flattened input (29 x 3 with ones column)
     assert model.num_parameters() == 87 * 256 + 256 * 256 + 256 * 87
@@ -38,17 +36,17 @@ def test_fc_shapes_and_param_count():
 def test_fc_three_dense_layers():
     model = FcBaselineModel(seed=1)
     assert sorted(model.parameters()) == ["fc0.W", "fc1.W", "fc2.W"]
-    x = rand_input(seed=2)
+    x = rand_input(seed=2)[0]
     h = np.concatenate([(x - 320.0) / 160.0, np.ones((29, 1))], axis=1).reshape(87)
     for w in model.weights[:-1]:
         h = np.maximum(h @ w.data, 0.0)
     expected = (h @ model.weights[-1].data).reshape(29, 3) * 250.0
-    np.testing.assert_allclose(model.forward(x).data, expected, atol=1e-10)
+    np.testing.assert_allclose(model.forward(x[None]).data[0], expected, atol=1e-10)
 
 
 def test_fc_gradients_flow():
     model = FcBaselineModel(hidden=(16, 16), seed=3)
-    mse(model.forward(rand_input()), np.zeros((29, 3))).backward()
+    mse(model.forward(rand_input()), np.zeros((1, 29, 3))).backward()
     for p in model.parameters().values():
         assert np.any(p.grad != 0.0)
 
@@ -58,7 +56,7 @@ def test_fc_gradients_flow():
 
 def test_gcn_shapes_and_fixed_graph():
     model = PlainGcnModel(hidden=(128, 128), seed=0)
-    assert model.forward(rand_input()).shape == (29, 3)
+    assert model.forward(rand_input()).shape == (1, 29, 3)
     assert model.forward(rand_input(batch=4)).shape == (4, 29, 3)
     assert sorted(model.parameters()) == ["conv0.W", "conv1.W", "conv2.W"]
     assert model.num_parameters() == 3 * 128 + 128 * 128 + 128 * 3
@@ -68,20 +66,22 @@ def test_gcn_shapes_and_fixed_graph():
 
 def test_gcn_matches_composed_ops():
     model = PlainGcnModel(hidden=(8, 8), seed=4)
-    x = rand_input(seed=5)
+    x = rand_input(seed=5)[0]
     h = np.concatenate([(x - 320.0) / 160.0, np.ones((29, 1))], axis=1)
     a = model.adjacency.data
     for i, w in enumerate(model.weights):
         h = a @ (h @ w.data)
         if i < 2:
             h = np.maximum(h, 0.0)
-    np.testing.assert_allclose(model.forward(x).data, h * 250.0, atol=1e-10)
+    np.testing.assert_allclose(model.forward(x[None]).data[0], h * 250.0, atol=1e-10)
 
 
 def test_models_validate_input_shape():
     for model in (FcBaselineModel(hidden=(8, 8)), PlainGcnModel(hidden=(8, 8))):
         with pytest.raises(DimensionError):
-            model.forward(np.zeros((21, 2)))
+            model.forward(np.zeros((1, 21, 2)))
+        with pytest.raises(DimensionError):   # unbatched
+            model.forward(np.zeros((29, 2)))
 
 
 # ---- save / load dispatch -----------------------------------------------------
@@ -163,6 +163,40 @@ def test_pipeline_checkpoint_names_and_shapes_are_pinned():
     assert state == PINNED_STUB_REFINE_STATE + unet
 
 
+_DEFAULT_UNET_CONFIG = {
+    "adjacency_init": "identity", "feature_schedule": [64, 128, 256, 512],
+    "in_features": 2, "input_center": 320.0, "input_scale": 160.0,
+    "node_schedule": [29, 15, 8, 4], "out_features": 3, "output_scale": 250.0,
+    "pooling": "trainable",
+}
+# The manifest config block as earlier releases wrote it, for the default
+# pipeline and a gPool U-Net.
+PINNED_CONFIGS = {
+    "pipeline": (lambda: HopePipeline(seed=0), {
+        "kind": "pipeline", "seed": 0, "pipeline": {
+            "feature_width": 2048, "image_size": 640.0, "input_center": 320.0,
+            "input_scale": 160.0, "raster_grid": 32, "refine_output_scale": 160.0,
+            "refine_widths": [512, 128], "stub_output_scale": 160.0,
+            "unet": _DEFAULT_UNET_CONFIG}}),
+    "gpool": (lambda: GraphUNetModel(UNetConfig(feature_schedule=(4, 8, 8, 16),
+                                                pooling="gpool"), seed=3), {
+        "kind": "unet", "seed": 3, "unet": {
+            **_DEFAULT_UNET_CONFIG, "feature_schedule": [4, 8, 8, 16], "pooling": "gpool"}}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_CONFIGS))
+def test_manifest_config_is_pinned(kind, tmp_path):
+    build, config = PINNED_CONFIGS[kind]
+    model = build()
+    save_model(str(tmp_path / "new"), model)
+    with open(tmp_path / "new.json") as f:
+        assert json.load(f)["config"] == config
+    save_checkpoint(str(tmp_path / "old"), model.parameters(), config)
+    back = load_model(str(tmp_path / "old"))
+    assert back.config == model.config and back.seed == model.seed
+
+
 def test_load_unknown_kind_rejected(tmp_path):
     base = str(tmp_path / "weird")
     save_checkpoint(base, {"w": Tensor(np.zeros(3))}, {"kind": "transformer"})
@@ -173,5 +207,10 @@ def test_load_unknown_kind_rejected(tmp_path):
 def test_load_malformed_config_rejected(tmp_path):
     base = str(tmp_path / "broken")
     save_checkpoint(base, {"w": Tensor(np.zeros(3))}, {"kind": "fc"})
+    with pytest.raises(CheckpointFormatError):
+        load_model(base)
+    config = GraphUNetModel(SMALL_UNET).config_dict()
+    config["unet"]["pooling"] = "mesh"   # out of range, not a usage error
+    save_checkpoint(base, {"w": Tensor(np.zeros(3))}, config)
     with pytest.raises(CheckpointFormatError):
         load_model(base)

@@ -1,6 +1,7 @@
 """The full cascade: raster stub, 2D refinement, loss contract, inference."""
 
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from graphlift.checkpoint import load_state
 from graphlift.errors import DimensionError, DomainError
 from graphlift.gradcheck import grad_check
 from graphlift.pipeline import (HopeLossWeights, HopePipeline, PipelineConfig,
-                                hope_loss, hope_loss_terms, predict,
-                                rasterize_keypoints)
+                                hope_loss_terms, rasterize_keypoints)
 from graphlift.synth import generate_dataset
 from graphlift.tensor import Tensor, concat_features, matmul, mse
 from graphlift.unet import UNetConfig
@@ -30,7 +30,7 @@ def records():
 def test_raster_bins_known_cells():
     # 32x32 over 640px: 20px cells, row-major flattening
     pts = np.array([[0.0, 0.0], [20.0, 40.0], [639.9, 639.9]])
-    out = rasterize_keypoints(pts)
+    out = rasterize_keypoints(pts[None])[0]
     assert out.shape == (1024,)
     hits = np.flatnonzero(out)
     np.testing.assert_array_equal(hits, [0, 2 * 32 + 1, 31 * 32 + 31])
@@ -38,13 +38,13 @@ def test_raster_bins_known_cells():
 
 
 def test_raster_clamps_out_of_image():
-    out = rasterize_keypoints(np.array([[-50.0, 700.0]]))
+    out = rasterize_keypoints(np.array([[[-50.0, 700.0]]]))
     np.testing.assert_array_equal(np.flatnonzero(out), [31 * 32])
 
 
 def test_raster_occupancy_not_counts():
     pts = np.array([[5.0, 5.0], [6.0, 6.0], [7.0, 7.0]])   # same cell
-    out = rasterize_keypoints(pts)
+    out = rasterize_keypoints(pts[None])
     assert out.sum() == 1.0
 
 
@@ -54,6 +54,8 @@ def test_raster_batched():
     assert out.shape == (3, 64)
     with pytest.raises(DimensionError):
         rasterize_keypoints(np.zeros((3, 29, 3)))
+    with pytest.raises(DimensionError):
+        rasterize_keypoints(np.zeros((29, 2)))
 
 
 # ---- stub feature provider --------------------------------------------------
@@ -61,23 +63,23 @@ def test_raster_batched():
 
 def test_stub_feature_contract(records):
     pipe = HopePipeline(seed=0)
-    features, init2d = pipe.stub.encode(records[0])
-    assert features.shape == (2048,)
-    assert init2d.shape == (29, 2)
-    again, _ = pipe.stub.encode(records[0])
+    features, init2d = pipe.stub.encode_batch(records[0].gt2d[None])
+    assert features.shape == (1, 2048)
+    assert init2d.shape == (1, 29, 2)
+    again, _ = pipe.stub.encode_batch(records[0].gt2d[None])
     np.testing.assert_array_equal(features.data, again.data)
 
 
 def test_stub_is_linear_in_raster(records):
     pipe = HopePipeline(SMALL, seed=1)
-    raster = rasterize_keypoints(records[0].gt2d, SMALL.raster_grid,
+    raster = rasterize_keypoints(records[0].gt2d[None], SMALL.raster_grid,
                                  SMALL.image_size)
-    features, init2d = pipe.stub.encode(records[0])
+    features, init2d = pipe.stub.encode_batch(records[0].gt2d[None])
     np.testing.assert_allclose(features.data, raster @ pipe.stub.W1.data,
                                atol=1e-12)
     head = features.data @ pipe.stub.W2.data + pipe.stub.b2.data
     np.testing.assert_allclose(init2d.data,
-                               head.reshape(29, 2) * SMALL.stub_output_scale,
+                               head.reshape(1, 29, 2) * SMALL.stub_output_scale,
                                atol=1e-12)
 
 
@@ -93,19 +95,19 @@ def test_refine_zero_weights_zero_output(records):
     pipe = HopePipeline(SMALL, seed=2)
     for layer in pipe.refine.layers:
         layer.W.data[...] = 0.0
-    features, init2d = pipe.stub.encode(records[0])
+    features, init2d = pipe.stub.encode_batch(records[0].gt2d[None])
     out = pipe.refine.forward(features, init2d)
-    np.testing.assert_array_equal(out.data, np.zeros((29, 2)))
+    np.testing.assert_array_equal(out.data, np.zeros((1, 29, 2)))
 
 
 def test_refine_matches_composed_matrix_ops(records):
     pipe = HopePipeline(SMALL, seed=3)
-    features, init2d = pipe.stub.encode(records[1])
-    out = pipe.refine.forward(features, init2d).data
+    features, init2d = pipe.stub.encode_batch(records[1].gt2d[None])
+    out = pipe.refine.forward(features, init2d).data[0]
 
     f = features.data
     h = np.concatenate([np.tile(f, (29, 1)),
-                        (init2d.data - SMALL.input_center) / SMALL.input_scale],
+                        (init2d.data[0] - SMALL.input_center) / SMALL.input_scale],
                        axis=1)
     for i, layer in enumerate(pipe.refine.layers):
         h = layer.A.data @ (h @ layer.W.data)
@@ -166,10 +168,13 @@ def test_stage1_step_allocation_peak():
 def test_refine_rejects_bad_shapes():
     pipe = HopePipeline(SMALL, seed=0)
     with pytest.raises(DimensionError):
-        pipe.refine.forward(Tensor(np.zeros(10)), Tensor(np.zeros((29, 2))))
+        pipe.refine.forward(Tensor(np.zeros((1, 10))), Tensor(np.zeros((1, 29, 2))))
     with pytest.raises(DimensionError):
+        pipe.refine.forward(Tensor(np.zeros((1, SMALL.feature_width))),
+                            Tensor(np.zeros((1, 21, 2))))
+    with pytest.raises(DimensionError):   # unbatched
         pipe.refine.forward(Tensor(np.zeros(SMALL.feature_width)),
-                            Tensor(np.zeros((21, 2))))
+                            Tensor(np.zeros((29, 2))))
 
 
 # ---- loss contract ----------------------------------------------------------
@@ -188,15 +193,15 @@ def test_loss_ten_pixel_offset_oracle(records):
     averages 100 px^2 over half the coordinates, so total = 0.1 * 50 = 5."""
     gt2d, gt3d = records[0].gt2d, records[0].gt3d
     init2d = gt2d + np.array([10.0, 0.0])
-    total = hope_loss(Tensor(init2d), Tensor(gt2d), Tensor(gt3d), gt2d, gt3d)
+    total = hope_loss_terms(Tensor(init2d), Tensor(gt2d), Tensor(gt3d), gt2d, gt3d)[0]
     assert abs(total.item() - 5.0) < 1e-12
 
 
 def test_loss_weight_degeneracy(records):
     gt2d, gt3d = records[0].gt2d, records[0].gt3d
     pred3d = gt3d + 2.0
-    total = hope_loss(Tensor(gt2d + 7.0), Tensor(gt2d + 3.0), Tensor(pred3d),
-                      gt2d, gt3d, HopeLossWeights(alpha=0.0, beta=0.0))
+    total = hope_loss_terms(Tensor(gt2d + 7.0), Tensor(gt2d + 3.0), Tensor(pred3d),
+                            gt2d, gt3d, HopeLossWeights(alpha=0.0, beta=0.0))[0]
     np.testing.assert_allclose(total.item(), 4.0, atol=1e-12)
 
 
@@ -225,17 +230,15 @@ def test_pipeline_build_deterministic():
         np.testing.assert_array_equal(a[k].data, b[k].data)
 
 
-def test_predict_shapes_and_composition(records):
+def test_forward_batch_shapes_and_determinism(records):
     pipe = HopePipeline(SMALL, seed=6)
-    refined, pred3d = predict(pipe, records[2])
-    assert refined.shape == (29, 2) and pred3d.shape == (29, 3)
-    refined2, pred3d2 = predict(pipe, records[2])
-    np.testing.assert_array_equal(refined, refined2)
-    np.testing.assert_array_equal(pred3d, pred3d2)
-
-    _, refined_b, pred_b = pipe.forward_batch(records[2].gt2d[None])
-    np.testing.assert_array_equal(refined, refined_b.data[0])
-    np.testing.assert_array_equal(pred3d, pred_b.data[0])
+    _, refined, pred3d = pipe.forward_batch(records[2].gt2d[None])
+    assert refined.shape == (1, 29, 2) and pred3d.shape == (1, 29, 3)
+    _, refined2, pred3d2 = pipe.forward_batch(records[2].gt2d[None])
+    np.testing.assert_array_equal(refined.data, refined2.data)
+    np.testing.assert_array_equal(pred3d.data, pred3d2.data)
+    with pytest.raises(DimensionError):   # unbatched
+        pipe.forward_batch(records[2].gt2d)
 
 
 def test_forward_batch_matches_stagewise(records):
@@ -254,7 +257,7 @@ def test_loss_gradient_reaches_stub(records):
     batch = np.stack([r.gt2d for r in records[:2]])
     gt3d = np.stack([r.gt3d for r in records[:2]])
     init2d, refined, pred3d = pipe.forward_batch(batch)
-    total = hope_loss(init2d, refined, pred3d, batch, gt3d)
+    total = hope_loss_terms(init2d, refined, pred3d, batch, gt3d)[0]
     total.backward()
     assert np.any(pipe.stub.W1.grad != 0.0)
     assert np.any(pipe.stub.W2.grad != 0.0)
@@ -270,7 +273,7 @@ def test_pipeline_gradients_match_finite_differences(records):
 
     def loss():
         init2d, refined, pred3d = pipe.forward_batch(batch)
-        return hope_loss(init2d, refined, pred3d, batch, gt3d)
+        return hope_loss_terms(init2d, refined, pred3d, batch, gt3d)[0]
 
     report = grad_check(loss, pipe.parameters(), eps=1e-5, num_coords=80,
                         rng=np.random.default_rng(10))
@@ -288,7 +291,7 @@ def test_pipeline_state_round_trip():
         bad = dict(state)
         del bad["stub.W1"]
         load_state(other, bad)
-    assert PipelineConfig.from_dict(SMALL.to_dict()) == SMALL
+    assert PipelineConfig.from_dict(asdict(SMALL)) == SMALL
 
 
 def test_pipeline_config_validation():

@@ -185,21 +185,10 @@ def test_scalar_arithmetic_chain():
     np.testing.assert_allclose(x.grad, [0.6])
 
 
-def test_rsub_rdiv():
-    x = Tensor([2.0], requires_grad=True)
-    (10.0 - x).sum().backward()
-    np.testing.assert_allclose(x.grad, [-1.0])
-    x.grad = None
-    (10.0 / x).sum().backward()
-    np.testing.assert_allclose(x.grad, [-2.5])
-
-
-def test_reshape_sum_mean_sqrt():
+def test_reshape_sum_sqrt():
     x = Tensor(np.arange(1.0, 7.0), requires_grad=True)
     y = x.reshape(2, 3).sum(axis=0)
     np.testing.assert_array_equal(y.data, [5.0, 7.0, 9.0])
-    m = x.mean()
-    assert m.item() == 3.5
     s = Tensor([16.0], requires_grad=True)
     r = s.sqrt()
     r.sum().backward()

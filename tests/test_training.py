@@ -8,11 +8,10 @@ import pytest
 
 from graphlift.errors import DomainError, TrainingDiverged
 from graphlift.optim import SgdSchedule
-from graphlift.pipeline import HopePipeline, PipelineConfig, hope_loss_terms, predict
+from graphlift.pipeline import HopePipeline, PipelineConfig, hope_loss_terms
 from graphlift.synth import generate_dataset
 from graphlift.training import (LOG_COLUMNS, PRESET_EPOCHS, TrainConfig,
-                                TrainingLog, eval_pipeline_errors,
-                                eval_unet_mean_error, mean_keypoint_error,
+                                TrainingLog, eval_unet_mean_error, mean_keypoint_error,
                                 pipeline_predictions, stage_schedule, train,
                                 train_unet_stage2, unet_predictions)
 from graphlift.unet import GraphUNetModel, UNetConfig
@@ -131,8 +130,8 @@ def test_stage2_on_step_callback_sees_gradients(records):
                    for p in params.values())
 
     train_unet_stage2(model, records, epochs=2, batch_size=16, seed=0,
-                      on_step=on_step, start_step=100)
-    assert seen == list(range(101, 101 + 2 * 2))
+                      on_step=on_step)
+    assert seen == list(range(1, 1 + 2 * 2))
 
 
 def test_stage2_rejects_empty():
@@ -165,8 +164,8 @@ def test_train_stage_isolation(records):
 def test_train_writes_ordered_stages(records, tmp_path):
     pipe = HopePipeline(SMALL_PIPE, seed=6)
     path = str(tmp_path / "train.csv")
-    log = train(pipe, records, TrainConfig(stage_epochs=(2, 2, 1), batch_size=16),
-                log_path=path)
+    log = train(pipe, records, TrainConfig(stage_epochs=(2, 2, 1), batch_size=16))
+    log.write_csv(path)
     # 30 samples at batch 16: 2 steps per epoch
     assert [len(log.stage_rows(s)) for s in (1, 2, 3)] == [4, 4, 2]
     stages = [r["stage"] for r in log.rows]
@@ -262,14 +261,13 @@ def test_inference_leaves_gradients_untouched(records):
     before = {k: p.grad.copy() for k, p in params.items()}
     pipeline_predictions(pipe, records)
     unet_predictions(pipe.unet, np.stack([r.gt2d for r in records]))
-    predict(pipe, records[0])
     for k, p in params.items():
         np.testing.assert_array_equal(p.grad, before[k])
 
 
 def test_training_after_eval_still_records_gradients(records):
     pipe = HopePipeline(SMALL_PIPE, seed=5)
-    eval_pipeline_errors(pipe, records)
+    pipeline_predictions(pipe, records)
     eval_unet_mean_error(pipe.unet, records)
     batch = records[:8]
     gt2d = np.stack([r.gt2d for r in batch])

@@ -1,6 +1,8 @@
 """Graph U-Net assembly: shapes, composition against raw matrix ops, and
 the pooling variants."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,14 @@ from graphlift.errors import DimensionError, DomainError
 from graphlift.gradcheck import grad_check
 from graphlift.tensor import Tensor, mse
 from graphlift.unet import (
-    DEFAULT_UNET_PARAM_COUNT, GraphUNetModel, UNetConfig, build_default_unet,
+    DEFAULT_UNET_PARAM_COUNT, GraphUNetModel, UNetConfig,
 )
 
 SMALL = UNetConfig(feature_schedule=(4, 8, 8, 16))
 
 
-def rand_input(seed=0, batch=None):
-    rng = np.random.default_rng(seed)
-    shape = (29, 2) if batch is None else (batch, 29, 2)
-    return rng.uniform(100.0, 540.0, size=shape)
+def rand_input(seed=0, batch=1):
+    return np.random.default_rng(seed).uniform(100.0, 540.0, size=(batch, 29, 2))
 
 
 def test_shape_contract_all_variants():
@@ -27,8 +27,10 @@ def test_shape_contract_all_variants():
     for pooling in ("trainable", "gpool", "fixed"):
         model = GraphUNetModel(UNetConfig(feature_schedule=(4, 8, 8, 16),
                                           pooling=pooling), seed=1)
-        assert model.forward(x).shape == (29, 3)
+        assert model.forward(x).shape == (1, 29, 3)
         assert model.forward(xb).shape == (3, 29, 3)
+        with pytest.raises(DimensionError):   # unbatched
+            model.forward(x[0])
 
 
 def test_batched_forward_matches_single():
@@ -36,7 +38,7 @@ def test_batched_forward_matches_single():
     xb = rand_input(seed=3, batch=4)
     yb = model.forward(xb).data
     for i in range(4):
-        np.testing.assert_allclose(yb[i], model.forward(xb[i]).data, atol=1e-10)
+        np.testing.assert_allclose(yb[i], model.forward(xb[i:i + 1]).data[0], atol=1e-10)
 
 
 def test_zero_weights_zero_output():
@@ -44,13 +46,13 @@ def test_zero_weights_zero_output():
     for p in model.parameters().values():
         p.data[...] = 0.0
     out = model.forward(rand_input())
-    np.testing.assert_array_equal(out.data, np.zeros((29, 3)))
+    np.testing.assert_array_equal(out.data, np.zeros((1, 29, 3)))
 
 
 def test_forward_matches_straight_line_composition():
     """Recompute the whole forward pass with plain numpy matrix products."""
     model = GraphUNetModel(SMALL, seed=4)
-    x = rand_input(seed=5)
+    x = rand_input(seed=5)[0]
     cfg = model.config
 
     h = np.concatenate([(x - cfg.input_center) / cfg.input_scale,
@@ -70,11 +72,11 @@ def test_forward_matches_straight_line_composition():
         h = np.maximum(conv.A.data @ (h @ conv.W.data), 0.0)
     expected = (model.final.A.data @ (h @ model.final.W.data)) * cfg.output_scale
 
-    np.testing.assert_allclose(model.forward(x).data, expected, atol=1e-10)
+    np.testing.assert_allclose(model.forward(x[None]).data[0], expected, atol=1e-10)
 
 
 def test_default_parameter_count():
-    model = build_default_unet(seed=0)
+    model = GraphUNetModel(UNetConfig(), seed=0)
     assert model.num_parameters() == DEFAULT_UNET_PARAM_COUNT
     # independent arithmetic: convs carry A (n^2) and W (in x out),
     # each level adds a pool (n_out x n_in) and an unpool transpose shape
@@ -93,11 +95,11 @@ def test_default_parameter_count():
 
 
 def test_build_is_deterministic_per_seed():
-    a = build_default_unet(seed=9).parameters()
-    b = build_default_unet(seed=9).parameters()
+    a = GraphUNetModel(UNetConfig(), seed=9).parameters()
+    b = GraphUNetModel(UNetConfig(), seed=9).parameters()
     for k in a:
         np.testing.assert_array_equal(a[k].data, b[k].data)
-    c = build_default_unet(seed=10).parameters()
+    c = GraphUNetModel(UNetConfig(), seed=10).parameters()
     assert any(not np.array_equal(a[k].data, c[k].data) for k in a)
 
 
@@ -106,8 +108,8 @@ def test_output_not_permutation_invariant():
     x = rand_input(seed=7)
     perm = np.random.default_rng(8).permutation(29)
     y = model.forward(x).data
-    y_perm = model.forward(x[perm]).data
-    assert not np.allclose(y_perm, y[perm], atol=1e-6)
+    y_perm = model.forward(x[:, perm]).data
+    assert not np.allclose(y_perm, y[:, perm], atol=1e-6)
     assert not np.allclose(y_perm, y, atol=1e-6)
 
 
@@ -124,7 +126,7 @@ def test_output_reacts_to_input_scale():
 def test_pooling_parameters_receive_gradient(pooling):
     # needs non-degenerate widths: a ReLU level can go fully dead in a
     # 4-channel toy net, which starves the gpool projection of gradient
-    target = np.random.default_rng(11).normal(size=(29, 3))
+    target = np.random.default_rng(11).normal(size=(1, 29, 3))
     for seed in range(20):
         model = GraphUNetModel(UNetConfig(feature_schedule=(16, 32, 32, 64),
                                           pooling=pooling), seed=seed)
@@ -137,7 +139,7 @@ def test_pooling_parameters_receive_gradient(pooling):
 def test_gradients_match_finite_differences():
     model = GraphUNetModel(UNetConfig(feature_schedule=(4, 4, 4, 4)), seed=12)
     x = rand_input(seed=13)
-    t = np.random.default_rng(14).normal(size=(29, 3))
+    t = np.random.default_rng(14).normal(size=(1, 29, 3))
     report = grad_check(lambda: mse(model.forward(x), t), model.parameters(),
                         eps=1e-5, num_coords=120,
                         rng=np.random.default_rng(15))
@@ -149,7 +151,7 @@ def test_zeros_init_freezes_everything():
                                       adjacency_init="zeros"), seed=0)
     out = model.forward(rand_input())
     np.testing.assert_array_equal(out.data, 0.0)
-    mse(out, np.ones((29, 3))).backward()
+    mse(out, np.ones((1, 29, 3))).backward()
     for name, p in model.parameters().items():
         np.testing.assert_array_equal(p.grad, 0.0, err_msg=name)
 
@@ -157,7 +159,7 @@ def test_zeros_init_freezes_everything():
 def test_config_round_trip():
     cfg = UNetConfig(feature_schedule=(4, 8, 8, 16), pooling="fixed",
                      adjacency_init="skeleton")
-    assert UNetConfig.from_dict(cfg.to_dict()) == cfg
+    assert UNetConfig(**asdict(cfg)) == cfg
 
 
 def test_config_validation():
@@ -176,9 +178,11 @@ def test_config_validation():
 def test_forward_shape_validation():
     model = GraphUNetModel(SMALL, seed=0)
     with pytest.raises(DimensionError):
-        model.forward(np.zeros((28, 2)))
+        model.forward(np.zeros((1, 28, 2)))
     with pytest.raises(DimensionError):
-        model.forward(np.zeros((29, 3)))
+        model.forward(np.zeros((1, 29, 3)))
+    with pytest.raises(DimensionError):
+        model.forward(np.zeros((29, 2)))
 
 
 def test_load_state_validation():
