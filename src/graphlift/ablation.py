@@ -62,6 +62,8 @@ class AblationConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise DomainError("epochs must be positive")
+        if self.batch_size < 1:
+            raise DomainError(f"batch_size must be positive, got {self.batch_size}")
         if not 0.0 < self.eval_fraction < 1.0:
             raise DomainError("eval_fraction must be in (0, 1)")
 

@@ -54,6 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """argparse type of a seed: numpy seeds are non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"a seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="graphlift",
                 description="Synthetic hand-object keypoint lifting: data "
@@ -64,7 +72,7 @@ def _build_parser() -> _Parser:
     g = sub.add_parser("gen", parents=[], help="generate a synthetic dataset",
                        description="Write n synthetic hand+box samples as JSON lines.")
     g.add_argument("--n", type=int, required=True, help="number of samples")
-    g.add_argument("--seed", type=int, default=0, help="dataset seed (default 0)")
+    g.add_argument("--seed", type=_seed, default=0, help="dataset seed (default 0)")
     g.add_argument("--out", required=True, help="output .jsonl path")
     g.set_defaults(func=cmd_gen)
 
@@ -85,7 +93,7 @@ def _build_parser() -> _Parser:
     t.add_argument("--batch-size", type=int, default=32, help="default 32")
     t.add_argument("--noise-sigma", type=float, default=10.0,
                    help="stage-2 input noise in px (default 10)")
-    t.add_argument("--seed", type=int, default=0, help="training seed (default 0)")
+    t.add_argument("--seed", type=_seed, default=0, help="training seed (default 0)")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint",
@@ -104,7 +112,8 @@ def _build_parser() -> _Parser:
     a.add_argument("--suite", choices=sorted(SUITES), required=True)
     a.add_argument("--data", required=True, help="dataset (.jsonl)")
     a.add_argument("--out-dir", required=True, help="directory for result CSVs")
-    a.add_argument("--seeds", default="0,1,2", metavar="S0,S1,...",
+    a.add_argument("--seeds", type=lambda text: tuple(_seed(s) for s in text.split(",")),
+                   default="0,1,2", metavar="S0,S1,...",
                    help="comma-separated seeds (default 0,1,2)")
     a.add_argument("--epochs", type=int, default=30,
                    help="training epochs per run (default 30)")
@@ -126,7 +135,7 @@ def _build_parser() -> _Parser:
                    help="finite-difference step scale (default 1e-5)")
     c.add_argument("--coords", type=int, default=100,
                    help="sampled coordinates per check (default 100)")
-    c.add_argument("--seed", type=int, default=0, help="default 0")
+    c.add_argument("--seed", type=_seed, default=0, help="default 0")
     c.set_defaults(func=cmd_gradcheck)
 
     x = sub.add_parser("export-adjacency", help="dump learned adjacency kernels",
@@ -238,13 +247,12 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     records = load_dataset(args.data)
-    seeds = _parse_int_list(args.seeds, "--seeds")
     widths = _parse_int_list(args.widths, "--widths")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     config = AblationConfig(epochs=args.epochs, batch_size=args.batch_size,
                             unet_widths=widths)
-    runs = run_ablation(args.suite, records, seeds, config, jobs=args.jobs)
+    runs = run_ablation(args.suite, records, args.seeds, config, jobs=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     write_runs_csv(runs, os.path.join(args.out_dir, f"{args.suite}_runs.csv"))
     write_summary_csv(runs, os.path.join(args.out_dir, f"{args.suite}_summary.csv"))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 
 __all__ = ["HandPoseParams", "forward_kinematics", "rotation_zyx",
            "FLEXION_RANGES", "ABDUCTION_RANGE", "PALM_YAWS",

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .tensor import Tensor, _accumulate, matmul, relu, sigmoid
+from .tensor import Tensor, _record, matmul, relu, sigmoid
 
 __all__ = [
     "AdaptiveGraphConvLayer", "NodeMap", "GPoolLayer",
@@ -46,23 +46,15 @@ class AdaptiveGraphConvLayer:
     """
 
     def __init__(self, adjacency_init: np.ndarray, in_features: int,
-                 out_features: int, activation: str = "relu",
-                 rng: np.random.Generator | None = None,
-                 weight_init: np.ndarray | None = None):
+                 out_features: int, activation: str, rng: np.random.Generator):
         a = np.asarray(adjacency_init, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"adjacency init must be square, got {a.shape}")
         if activation not in ("relu", "linear"):
             raise DomainError(f"activation must be 'relu' or 'linear', got {activation!r}")
-        if weight_init is None:
-            if rng is None:
-                raise DomainError("need an rng or an explicit weight_init")
-            weight_init = uniform_init(rng, (in_features, out_features), in_features)
-        w = np.asarray(weight_init, dtype=np.float64)
-        if w.shape != (in_features, out_features):
-            raise DimensionError(f"weight init shape {w.shape} != ({in_features}, {out_features})")
         self.A = Tensor(a.copy(), requires_grad=True, name="A")
-        self.W = Tensor(w.copy(), requires_grad=True, name="W")
+        self.W = Tensor(uniform_init(rng, (in_features, out_features), in_features),
+                        requires_grad=True, name="W")
         self.activation = activation
         self.n = a.shape[0]
         self.in_features = in_features
@@ -122,17 +114,10 @@ class GPoolLayer:
     features back.  Accepts (n, k) or batched (B, n, k) input.
     """
 
-    def __init__(self, n_in: int, n_out: int, features: int,
-                 rng: np.random.Generator | None = None,
-                 projection_init: np.ndarray | None = None):
+    def __init__(self, n_in: int, n_out: int, features: int, rng: np.random.Generator):
         if not 0 < n_out < n_in:
             raise DimensionError(f"gpool must shrink the node count, got {n_in} -> {n_out}")
-        if projection_init is None:
-            if rng is None:
-                raise DomainError("need an rng or an explicit projection_init")
-            projection_init = uniform_init(rng, (features, 1), features)
-        v = np.asarray(projection_init, dtype=np.float64).reshape(features, 1)
-        self.p = Tensor(v.copy(), requires_grad=True, name="p")
+        self.p = Tensor(uniform_init(rng, (features, 1), features), requires_grad=True, name="p")
         self.n_in = n_in
         self.n_out = n_out
         self.features = features
@@ -170,15 +155,12 @@ def _gather_rows_batched(x: Tensor, idx: np.ndarray) -> Tensor:
     them.  Top-k selections never repeat an index.
     """
     idx3 = idx[:, :, None]
-    data = np.take_along_axis(x.data, idx3, axis=1)
-    out = Tensor._from_op(data, (x,), None)
-    if out.requires_grad:
-        def backward(g):
-            buf = np.zeros_like(x.data)
-            np.put_along_axis(buf, np.broadcast_to(idx3, g.shape), g, axis=1)
-            _accumulate(x, buf)
-        out._backward = backward
-    return out
+
+    def scatter(g):
+        buf = np.zeros_like(x.data)
+        np.put_along_axis(buf, np.broadcast_to(idx3, g.shape), g, axis=1)
+        return buf
+    return _record(np.take_along_axis(x.data, idx3, axis=1), (x, scatter))
 
 
 def scatter_rows_batched(x: Tensor, idx: np.ndarray, num_nodes: int) -> Tensor:
@@ -193,12 +175,7 @@ def scatter_rows_batched(x: Tensor, idx: np.ndarray, num_nodes: int) -> Tensor:
     shape = (x.shape[0], num_nodes, x.shape[2])
     buf = np.zeros(shape, dtype=np.float64)
     np.put_along_axis(buf, np.broadcast_to(idx3, x.data.shape), x.data, axis=1)
-    out = Tensor._from_op(buf, (x,), None)
-    if out.requires_grad:
-        def backward(g):
-            _accumulate(x, np.take_along_axis(g, idx3, axis=1))
-        out._backward = backward
-    return out
+    return _record(buf, (x, lambda g: np.take_along_axis(g, idx3, axis=1)))
 
 
 # ---- constant maps for the fixed-grouping baseline ---------------------

@@ -1,15 +1,18 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Tensor wraps an ndarray plus an optional gradient.  Operations build a
-directed acyclic graph of closures; calling backward() on a scalar result
-walks the graph in reverse topological order and accumulates gradients
-into every tensor that requires them.
+A Tensor wraps an ndarray plus an optional gradient.  An op computes its
+forward value and hands it to _record with one edge per operand: the
+operand and a function that maps the upstream gradient to that
+operand's share of it.  Calling backward() on a scalar result walks the
+edges in reverse topological order and accumulates gradients into every
+tensor that requires them.  Only backward() sums a share back down to a
+broadcast operand's shape and adds it to a gradient; an op never does.
 
 Gradients are accumulated without buffers: backward() clears every
 gradient on the tape, the first contribution a tensor receives becomes
 its gradient as it is (often a view of another gradient, or a read-only
 broadcast view), and each later contribution allocates the sum.  A
-tensor that receives none gets zeros just before its own closure runs.
+tensor that receives none gets zeros just before its own edges run.
 No gradient is ever written in place, so views that alias each other
 are safe; callers must not write into .grad either.
 
@@ -21,8 +24,8 @@ directions, so the weight gradient never materializes a per-batch
 (B, k, o) stack.
 
 Inside `with no_grad():` operations record nothing: results have
-requires_grad=False and no parents, so inference keeps no closures or
-intermediates alive.
+requires_grad=False and no edges, so inference keeps no gradient
+functions or intermediates alive.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ _GRAD_ENABLED = True
 def no_grad():
     """Record no autodiff tape inside the block.
 
-    Op results made inside it have requires_grad=False and no parents,
+    Op results made inside it have requires_grad=False and no edges,
     even when an operand requires grad; leaves keep their own flag.  The
     flag is process-global (one module variable, not per thread) and is
     restored on exit, also when the block raises, so blocks nest.
@@ -91,10 +94,32 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class Tensor:
-    """A float64 array with an optional gradient and a backward closure."""
+def _same(g: np.ndarray) -> np.ndarray:
+    return g
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+
+def _record(data: np.ndarray, *edges) -> "Tensor":
+    """The result of an op: `data` plus its edges into the tape.
+
+    Each edge is (operand, grad_fn), where grad_fn(g) returns the
+    operand's share of the result's gradient g before broadcasting is
+    undone.  Only edges into operands that require grad are kept, and
+    none inside no_grad(), so a constant operand's grad_fn never runs.
+    Skips the finite check; training-loop code detects divergence.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.name = None
+    out._edges = [e for e in edges if e[0].requires_grad] if _GRAD_ENABLED else ()
+    out.requires_grad = bool(out._edges)
+    return out
+
+
+class Tensor:
+    """A float64 array with an optional gradient and its edges to operands."""
+
+    __slots__ = ("data", "grad", "requires_grad", "name", "_edges")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -104,25 +129,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.name = name
-        self._parents: tuple = ()
-        self._backward = None
-
-    @classmethod
-    def _from_op(cls, data: np.ndarray, parents: tuple, backward) -> "Tensor":
-        """Internal constructor for op results.  Skips the finite check;
-        training-loop code is responsible for detecting divergence."""
-        out = cls.__new__(cls)
-        out.data = data
-        out.grad = None
-        out.name = None
-        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        if out.requires_grad:
-            out._parents = parents
-            out._backward = backward
-        else:
-            out._parents = ()
-            out._backward = None
-        return out
+        self._edges = ()
 
     # ---- introspection -------------------------------------------------
 
@@ -167,17 +174,18 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
+            for p, _ in node._edges:
+                if id(p) not in visited:
                     stack.append((p, False))
         for node in topo:
             node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            if node._backward is not None:
-                node._backward(node.grad)
+            g = node.grad
+            if g is None:
+                g = node.grad = np.zeros_like(node.data)
+            for p, grad_fn in node._edges:
+                _accumulate(p, _unbroadcast(grad_fn(g), p.data.shape))
 
     # ---- arithmetic ----------------------------------------------------
 
@@ -188,98 +196,45 @@ class Tensor:
         return Tensor(other)
 
     def __add__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        a, b = self, other
-        out = Tensor._from_op(a.data + b.data, (a, b), None)
-        if out.requires_grad:
-            def backward(g):
-                if a.requires_grad:
-                    _accumulate(a, _unbroadcast(g, a.data.shape))
-                if b.requires_grad:
-                    _accumulate(b, _unbroadcast(g, b.data.shape))
-            out._backward = backward
-        return out
+        b = Tensor._lift(other)
+        return _record(self.data + b.data, (self, _same), (b, _same))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        a, b = self, other
-        out = Tensor._from_op(a.data - b.data, (a, b), None)
-        if out.requires_grad:
-            def backward(g):
-                if a.requires_grad:
-                    _accumulate(a, _unbroadcast(g, a.data.shape))
-                if b.requires_grad:
-                    _accumulate(b, _unbroadcast(-g, b.data.shape))
-            out._backward = backward
-        return out
+        b = Tensor._lift(other)
+        return _record(self.data - b.data, (self, _same), (b, np.negative))
 
     def __mul__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        a, b = self, other
-        out = Tensor._from_op(a.data * b.data, (a, b), None)
-        if out.requires_grad:
-            def backward(g):
-                if a.requires_grad:
-                    _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-                if b.requires_grad:
-                    _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-            out._backward = backward
-        return out
+        a, b = self, Tensor._lift(other)
+        return _record(a.data * b.data,
+                       (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        a, b = self, other
-        out = Tensor._from_op(a.data / b.data, (a, b), None)
-        if out.requires_grad:
-            def backward(g):
-                if a.requires_grad:
-                    _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-                if b.requires_grad:
-                    _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-            out._backward = backward
-        return out
+        a, b = self, Tensor._lift(other)
+        return _record(a.data / b.data, (a, lambda g: g / b.data),
+                       (b, lambda g: -g * a.data / (b.data * b.data)))
 
     # ---- shape ops -----------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        old = a.data.shape
-        out = Tensor._from_op(a.data.reshape(shape), (a,), None)
-        if out.requires_grad:
-            def backward(g):
-                _accumulate(a, g.reshape(old))
-            out._backward = backward
-        return out
+        old = self.data.shape
+        return _record(self.data.reshape(shape), (self, lambda g: g.reshape(old)))
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        out_data = a.data.sum(axis=axis, keepdims=keepdims)
-        out = Tensor._from_op(np.asarray(out_data), (a,), None)
-        if out.requires_grad:
-            def backward(g):
-                if axis is None:
-                    _accumulate(a, np.broadcast_to(g, a.data.shape))
-                else:
-                    gg = g if keepdims else np.expand_dims(g, axis)
-                    _accumulate(a, np.broadcast_to(gg, a.data.shape))
-            out._backward = backward
-        return out
+        shape = self.data.shape
+        expand = axis is not None and not keepdims
+        return _record(np.asarray(self.data.sum(axis=axis, keepdims=keepdims)),
+                       (self, lambda g: np.broadcast_to(
+                           np.expand_dims(g, axis) if expand else g, shape)))
 
     def sqrt(self) -> "Tensor":
-        a = self
-        root = np.sqrt(a.data)
-        out = Tensor._from_op(root, (a,), None)
-        if out.requires_grad:
-            def backward(g):
-                _accumulate(a, g * (0.5 / root))
-            out._backward = backward
-        return out
+        root = np.sqrt(self.data)
+        return _record(root, (self, lambda g: g * (0.5 / root)))
 
 
 # ---- free functions ----------------------------------------------------
@@ -306,43 +261,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     if b.data.ndim == 2 and a.data.ndim > 2:
         return _matmul_flat(a, b)
-    out = Tensor._from_op(a.data @ b.data, (a, b), None)
-    if out.requires_grad:
-        def backward(g):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
-        out._backward = backward
-    return out
+    return _record(a.data @ b.data,
+                   (a, lambda g: g @ np.swapaxes(b.data, -1, -2)),
+                   (b, lambda g: np.swapaxes(a.data, -1, -2) @ g))
 
 
 def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
     """(..., n, k) @ (k, o) as one (N, k) @ (k, o) GEMM, N = prod(...) * n."""
     k, o = b.data.shape
-    out = Tensor._from_op((a.data.reshape(-1, k) @ b.data).reshape(*a.data.shape[:-1], o),
-                          (a, b), None)
-    if out.requires_grad:
-        def backward(g):
-            g2 = g.reshape(-1, o)
-            if a.requires_grad:
-                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, a.data.reshape(-1, k).T @ g2)
-        out._backward = backward
-    return out
+    return _record((a.data.reshape(-1, k) @ b.data).reshape(*a.data.shape[:-1], o),
+                   (a, lambda g: (g.reshape(-1, o) @ b.data.T).reshape(a.data.shape)),
+                   (b, lambda g: a.data.reshape(-1, k).T @ g.reshape(-1, o)))
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0).  The gradient at exactly 0 is 0."""
     x = Tensor._lift(x)
     mask = x.data > 0
-    out = Tensor._from_op(np.where(mask, x.data, 0.0), (x,), None)
-    if out.requires_grad:
-        def backward(g):
-            _accumulate(x, np.where(mask, g, 0.0))
-        out._backward = backward
-    return out
+    return _record(np.where(mask, x.data, 0.0), (x, lambda g: np.where(mask, g, 0.0)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -351,12 +287,7 @@ def sigmoid(x: Tensor) -> Tensor:
     d = x.data
     s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
                  np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = Tensor._from_op(s, (x,), None)
-    if out.requires_grad:
-        def backward(g):
-            _accumulate(x, g * s * (1.0 - s))
-        out._backward = backward
-    return out
+    return _record(s, (x, lambda g: g * s * (1.0 - s)))
 
 
 def concat_features(tensors: Sequence[Tensor]) -> Tensor:
@@ -367,7 +298,7 @@ def concat_features(tensors: Sequence[Tensor]) -> Tensor:
     row without being repeated first: each operand is assigned straight
     into one output array, and each operand's gradient slice is summed
     back down to its own shape.  Zero-width operands are legal and
-    contribute nothing.
+    contribute nothing; they receive an empty gradient.
     """
     ts = [Tensor._lift(t) for t in tensors]
     if not ts:
@@ -382,16 +313,11 @@ def concat_features(tensors: Sequence[Tensor]) -> Tensor:
     widths = [t.data.shape[-1] for t in ts]
     offsets = np.cumsum([0] + widths)
     out_data = np.empty(lead + (offsets[-1],))
+    edges = []
     for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
         out_data[..., lo:hi] = t.data
-    out = Tensor._from_op(out_data, tuple(ts), None)
-    if out.requires_grad:
-        def backward(g):
-            for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-                if t.requires_grad and hi > lo:
-                    _accumulate(t, _unbroadcast(g[..., lo:hi], t.data.shape))
-        out._backward = backward
-    return out
+        edges.append((t, lambda g, lo=lo, hi=hi: g[..., lo:hi]))
+    return _record(out_data, *edges)
 
 
 def mse(pred: Tensor, target) -> Tensor:
@@ -409,10 +335,5 @@ def mse(pred: Tensor, target) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore"):
         diff = pred.data - tgt
         val = np.asarray(np.mean(diff * diff))
-    out = Tensor._from_op(val, (pred,), None)
-    if out.requires_grad:
-        scale = 2.0 / diff.size
-        def backward(g):
-            _accumulate(pred, g * scale * diff)
-        out._backward = backward
-    return out
+    scale = 2.0 / diff.size
+    return _record(val, (pred, lambda g: g * scale * diff))

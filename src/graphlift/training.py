@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, TrainingDiverged
+from .errors import DomainError, NumericError, TrainingDiverged
 from .optim import SGD, Adam, SgdSchedule
 from .pipeline import HopeLossWeights, HopePipeline, hope_loss_terms
 from .synth import SampleRecord, add_noise, records_to_arrays
@@ -59,8 +59,9 @@ class TrainConfig:
             raise DomainError(f"batch_size must be positive, got {self.batch_size}")
         if self.optimizer not in ("adam", "sgd"):
             raise DomainError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if self.noise_sigma < 0:
-            raise DomainError("noise_sigma must be non-negative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise DomainError(f"noise_sigma must be finite and non-negative, "
+                              f"got {self.noise_sigma}")
 
     @classmethod
     def from_preset(cls, preset: str, **overrides) -> "TrainConfig":
@@ -138,6 +139,8 @@ def _run_stage(log: TrainingLog, stage: int, step: int, params, optimizer: str,
     the log columns it fills ({column: scalar Tensor}).  The finite check
     runs before backward and the update, so a TrainingDiverged (carrying
     the log so far) leaves the parameters at their last finite values.
+    A NumericError while building the batch (non-finite inputs) ends the
+    stage the same way.
     on_step(step, params) runs right after each backward pass, before
     the optimizer update.
     """
@@ -147,16 +150,17 @@ def _run_stage(log: TrainingLog, stage: int, step: int, params, optimizer: str,
     t = 0
     for _ in range(epochs):
         for idx in _batches(n, batch_size, rng):
-            loss, columns = loss_fn(idx)
-            value = loss.item()
             step += 1
-            if not math.isfinite(value):
-                err = TrainingDiverged(
-                    f"loss became non-finite at stage {stage}, step {step}; "
-                    "parameters keep their last finite values"
-                )
+            try:
+                loss, columns = loss_fn(idx)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise NumericError("loss became non-finite")
+            except NumericError as e:
+                err = TrainingDiverged(f"{e} at stage {stage}, step {step}; "
+                                       "parameters keep their last finite values")
                 err.log = log
-                raise err
+                raise err from None
             loss.backward()
             if on_step is not None:
                 on_step(step, params)

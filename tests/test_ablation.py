@@ -61,6 +61,9 @@ def test_run_ablation_validation(records):
         AblationConfig(epochs=0)
     with pytest.raises(DomainError):
         AblationConfig(eval_fraction=1.0)
+    for batch_size in (0, -4):
+        with pytest.raises(DomainError):
+            AblationConfig(batch_size=batch_size)
 
 
 def test_summarize_excludes_diverged():

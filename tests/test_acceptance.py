@@ -11,7 +11,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from graphlift.ablation import AblationConfig, run_ablation, write_summary_csv
 from graphlift.adjacency import normalize_adjacency

@@ -124,6 +124,28 @@ def test_train_divergence_exits_3_with_last_good_state(dataset, tmp_path, capsys
         assert np.all(np.isfinite(p.data))
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+def test_train_rejects_non_finite_noise_sigma(dataset, tmp_path, sigma):
+    base = str(tmp_path / "ck")
+    assert main(["train", "--data", dataset, "--out-ckpt", base,
+                 "--noise-sigma", sigma]) == 1
+    assert not os.path.exists(base + ".json")
+
+
+def test_train_non_finite_batch_exits_3_with_last_good_state(dataset, tmp_path, capsys):
+    # 1e308 is a finite sigma, but the noisy stage-2 inputs overflow.
+    base = str(tmp_path / "ck")
+    rc = main(["train", "--data", dataset, "--out-ckpt", base,
+               "--stage-epochs", "1,1,1", "--batch-size", "16",
+               "--noise-sigma", "1e308", "--seed", "0"])
+    assert rc == 3
+    assert "diverged" in capsys.readouterr().err
+    header, rows = read_csv(base + "_log.csv")
+    assert [r[header.index("stage")] for r in rows] == ["1", "1"]
+    for p in load_model(base).parameters().values():
+        assert np.all(np.isfinite(p.data))
+
+
 # ---- eval --------------------------------------------------------------------
 
 
@@ -201,6 +223,23 @@ def test_ablate_rejects_bad_arguments(dataset, tmp_path):
     assert main(common + ["--suite", "nonsense"]) == 1
     assert main(common + ["--suite", "pooling", "--seeds", "x"]) == 1
     assert main(common + ["--suite", "pooling", "--jobs", "0"]) == 1
+    assert main(common + ["--suite", "pooling", "--batch-size", "0"]) == 1
+    assert main(common + ["--suite", "pooling", "--batch-size", "-4"]) == 1
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--n", "5", "--seed", "-1", "--out", "{tmp}/x.jsonl"],
+    ["train", "--data", "{data}", "--out-ckpt", "{tmp}/ck", "--seed", "-1"],
+    ["ablate", "--suite", "pooling", "--data", "{data}", "--out-dir", "{tmp}/r",
+     "--seeds", "0,-1"],
+    ["gradcheck", "--seed", "-1"],
+], ids=["gen", "train", "ablate", "gradcheck"])
+def test_negative_seed_is_a_usage_error(dataset, tmp_path, capsys, command):
+    argv = [a.format(tmp=tmp_path, data=dataset) for a in command]
+    assert main(argv) == 1
+    assert "non-negative" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 # ---- gradcheck ---------------------------------------------------------------

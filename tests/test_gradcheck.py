@@ -6,7 +6,7 @@ import pytest
 
 from graphlift.errors import DomainError, NumericError
 from graphlift.gradcheck import grad_check
-from graphlift.tensor import Tensor, _accumulate, matmul, mse, relu
+from graphlift.tensor import Tensor, _record, matmul, mse, relu
 
 
 def test_linear_layer_tight_tolerance():
@@ -34,11 +34,8 @@ def test_broken_gradient_is_caught():
     w = Tensor(np.array([[1.0, 2.0]]), requires_grad=True, name="w")
 
     def wrong_grad():
-        out = Tensor._from_op(np.asarray((w.data ** 2).sum()), (w,), None)
-        def backward(g):
-            _accumulate(w, g * 3.0 * w.data)  # should be 2 * w
-        out._backward = backward
-        return out
+        # The gradient should be 2 * w.
+        return _record(np.asarray((w.data ** 2).sum()), (w, lambda g: g * 3.0 * w.data))
 
     report = grad_check(wrong_grad, {"w": w}, eps=1e-5)
     assert report.max_rel_err > 0.1
@@ -75,7 +72,7 @@ def test_non_finite_function_raises():
     w = Tensor(np.array([0.0]), requires_grad=True, name="w")
 
     def nan_fn():
-        return Tensor._from_op(np.asarray(np.nan), (w,), lambda g: None)
+        return _record(np.asarray(np.nan), (w, lambda g: None))
 
     with pytest.raises(NumericError):
         grad_check(nan_fn, {"w": w})

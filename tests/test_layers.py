@@ -19,7 +19,8 @@ from graphlift.tensor import Tensor, mse
 def test_agc_forward_hand_oracle():
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
     w = np.array([[2.0], [1.0]])
-    layer = AdaptiveGraphConvLayer(a, 2, 1, "relu", weight_init=w)
+    layer = AdaptiveGraphConvLayer(a, 2, 1, "relu", np.random.default_rng(0))
+    layer.W.data[...] = w
     x = Tensor([[1.0, 0.0], [0.0, 3.0]])
     # X W = [[2],[3]]; A (XW) = [[5],[3]]; relu keeps both
     out = layer.forward(x)
@@ -29,10 +30,12 @@ def test_agc_forward_hand_oracle():
 def test_agc_relu_clips_negative():
     a = np.eye(2)
     w = np.array([[1.0], [1.0]])
-    layer = AdaptiveGraphConvLayer(a, 2, 1, "relu", weight_init=w)
+    layer = AdaptiveGraphConvLayer(a, 2, 1, "relu", np.random.default_rng(0))
+    layer.W.data[...] = w
     out = layer.forward(Tensor([[-3.0, 1.0], [1.0, 1.0]]))
     np.testing.assert_allclose(out.data, [[0.0], [2.0]])
-    linear = AdaptiveGraphConvLayer(a, 2, 1, "linear", weight_init=w)
+    linear = AdaptiveGraphConvLayer(a, 2, 1, "linear", np.random.default_rng(0))
+    linear.W.data[...] = w
     out2 = linear.forward(Tensor([[-3.0, 1.0], [1.0, 1.0]]))
     np.testing.assert_allclose(out2.data, [[-2.0], [2.0]])
 
@@ -158,7 +161,8 @@ def test_pool_unpool_gradients():
 def test_gpool_selects_top_scores():
     # projection picks feature 0 as the score
     x = Tensor(np.array([[1.0, 9.0], [3.0, 9.0], [2.0, 9.0], [0.5, 9.0]]))
-    layer = GPoolLayer(4, 2, 2, projection_init=np.array([[1.0], [0.0]]))
+    layer = GPoolLayer(4, 2, 2, np.random.default_rng(0))
+    layer.p.data[...] = [[1.0], [0.0]]
     pooled, idx = layer.forward(x)
     np.testing.assert_array_equal(idx, [1, 2])
     # rows come back gated by sigmoid(score)
@@ -168,26 +172,30 @@ def test_gpool_selects_top_scores():
 
 def test_gpool_tie_breaks_to_lowest_index():
     x = Tensor(np.array([[2.0], [2.0], [2.0], [1.0]]))
-    layer = GPoolLayer(4, 2, 1, projection_init=np.array([[1.0]]))
+    layer = GPoolLayer(4, 2, 1, np.random.default_rng(0))
+    layer.p.data[...] = 1.0
     _, idx = layer.forward(x)
     np.testing.assert_array_equal(idx, [0, 1])
 
 
 def test_gpool_keep_count_guard():
     x = Tensor(np.arange(6.0).reshape(6, 1))
-    p = np.ones((1, 1))
+    rng = np.random.default_rng(0)
     # the kept count is given directly and must satisfy 0 < n_out < n_in
     for n_out in (1, 3, 5):
-        assert GPoolLayer(6, n_out, 1, projection_init=p).forward(x)[0].shape == (n_out, 1)
+        layer = GPoolLayer(6, n_out, 1, rng)
+        layer.p.data[...] = 1.0
+        assert layer.forward(x)[0].shape == (n_out, 1)
     for n_out in (0, 6, 7):
         with pytest.raises(DimensionError):
-            GPoolLayer(6, n_out, 1, projection_init=p)
+            GPoolLayer(6, n_out, 1, rng)
 
 
 def test_gpool_permutation_consistency():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(8, 3))
-    layer = GPoolLayer(8, 4, 3, projection_init=rng.normal(size=(3, 1)))
+    layer = GPoolLayer(8, 4, 3, np.random.default_rng(0))
+    layer.p.data[...] = rng.normal(size=(3, 1))
     _, idx = layer.forward(Tensor(x))
     perm = rng.permutation(8)
     _, idx_p = layer.forward(Tensor(x[perm]))

@@ -9,7 +9,7 @@ from graphlift.errors import DimensionError, NumericError
 from graphlift.gradcheck import grad_check
 from graphlift.layers import _gather_rows_batched, scatter_rows_batched
 from graphlift.tensor import (
-    Tensor, _unbroadcast, concat_features, matmul, mse, no_grad, relu,
+    Tensor, _record, _unbroadcast, concat_features, matmul, mse, no_grad, relu,
     sigmoid,
 )
 
@@ -278,7 +278,7 @@ def test_no_grad_tracking_without_requires_grad():
     a = Tensor([1.0, 2.0])
     b = a * 3 + 1
     assert not b.requires_grad
-    assert b._parents == ()
+    assert not b._edges
 
 
 # ---- the flattened GEMM path of (..., n, k) @ (k, o) -------------------------
@@ -379,9 +379,34 @@ def test_no_grad_records_no_tape():
         leaf = Tensor([1.0], requires_grad=True)
     for out in outs:
         assert not out.requires_grad
-        assert out._parents == () and out._backward is None
+        assert not out._edges
     assert leaf.requires_grad
     assert x.grad is None and w.grad is None
+
+
+def test_op_keeps_edges_only_into_operands_that_require_grad():
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(3, 4)))
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    out = matmul(x, w)
+    assert len(out._edges) == 1 and out._edges[0][0] is w
+    out.sum().backward()
+    assert x.grad is None
+    np.testing.assert_array_equal(w.grad, x.data.T @ np.ones((3, 2)))
+    assert not matmul(x, Tensor(w.data))._edges
+
+
+def test_constant_operands_gradient_function_never_runs():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    const = Tensor([3.0, 4.0])
+
+    def never(g):
+        raise AssertionError("gradient function of a constant operand ran")
+
+    out = _record(w.data * const.data, (const, never), (w, lambda g: g * const.data))
+    out.sum().backward()
+    np.testing.assert_array_equal(w.grad, const.data)
+    assert const.grad is None
 
 
 def _records_tape():

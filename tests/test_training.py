@@ -45,8 +45,9 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(DomainError):
         TrainConfig(optimizer="rmsprop")
-    with pytest.raises(DomainError):
-        TrainConfig(noise_sigma=-1.0)
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            TrainConfig(noise_sigma=sigma)
 
 
 def test_stage_schedule_literal_matches_stated_decays():

@@ -9,7 +9,7 @@ import pytest
 from graphlift.checkpoint import load_state
 from graphlift.errors import DimensionError, DomainError
 from graphlift.gradcheck import grad_check
-from graphlift.tensor import Tensor, mse
+from graphlift.tensor import mse
 from graphlift.unet import (
     DEFAULT_UNET_PARAM_COUNT, GraphUNetModel, UNetConfig,
 )
