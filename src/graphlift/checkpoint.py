@@ -4,6 +4,11 @@ A checkpoint at base path `ckpt` is the pair ckpt.json / ckpt.bin.  The
 manifest records format_version, an arbitrary JSON config dict, and for
 each parameter its shape and byte offset into the blob.  The blob holds
 the parameter values as little-endian float64 in manifest order.
+
+Both directions hold at most one copy of the model.  Saving streams each
+parameter's own buffer into the blob.  Loading validates the whole
+manifest against the blob's size before it reads any parameter data,
+then reads each parameter into its own array.
 """
 
 from __future__ import annotations
@@ -36,14 +41,15 @@ def save_checkpoint(base: str, params: Mapping[str, Tensor | np.ndarray],
                     config: dict | None = None) -> None:
     """Write params and a config dict to base.json + base.bin."""
     entries = {}
-    chunks = []
+    arrays = []
     offset = 0
     for name, p in params.items():
-        # asarray keeps 0-d shapes, where ascontiguousarray would promote to 1-d
+        # asarray keeps 0-d shapes, where ascontiguousarray would promote to 1-d;
+        # it copies only a non-native or non-contiguous parameter
         arr = np.asarray(p.data if isinstance(p, Tensor) else p,
                          dtype="<f8", order="C")
         entries[name] = {"shape": list(arr.shape), "dtype": "f64", "offset": offset}
-        chunks.append(arr.tobytes())
+        arrays.append(arr)
         offset += arr.nbytes
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -56,11 +62,43 @@ def save_checkpoint(base: str, params: Mapping[str, Tensor | np.ndarray],
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     with open(blob_path(base), "wb") as f:
-        f.write(b"".join(chunks))
+        for arr in arrays:
+            f.write(arr)
+
+
+def _layout(entries: dict, blob_size: int) -> list[tuple[str, tuple, int]]:
+    """Check every manifest entry against a blob of blob_size bytes;
+    returns (name, shape, offset) in manifest order."""
+    layout = []
+    spans = []
+    for name, meta in entries.items():
+        if not isinstance(meta, dict) or meta.get("dtype") != "f64":
+            raise CheckpointFormatError(f"param {name!r} is not an f64 entry: {meta!r}")
+        shape = meta.get("shape", [])
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise CheckpointFormatError(f"param {name!r} has a bad shape {shape!r}")
+        offset = meta.get("offset")
+        nbytes = math.prod(shape) * 8   # Python ints: a huge shape cannot wrap around
+        if type(offset) is not int or offset < 0 or offset + nbytes > blob_size:
+            raise CheckpointFormatError(f"param {name!r} points outside the blob")
+        layout.append((name, tuple(shape), offset))
+        spans.append((offset, nbytes))
+    # sorted by offset, the params must tile the blob: no overlap, no gap
+    end = 0
+    for offset, nbytes in sorted(spans):
+        if offset != end:
+            raise CheckpointFormatError(f"param byte ranges overlap or leave a gap at {offset}")
+        end += nbytes
+    if end != blob_size:
+        raise CheckpointFormatError(f"blob size {blob_size} does not match manifest total {end}")
+    return layout
 
 
 def load_checkpoint(base: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Read base.json + base.bin; returns (name -> array, config)."""
+    """Read base.json + base.bin; returns (name -> array, config).
+
+    Every array is a writable native float64 array of its own.
+    """
     try:
         with open(manifest_path(base), "r", encoding="utf-8") as f:
             manifest = json.load(f)
@@ -75,43 +113,23 @@ def load_checkpoint(base: str) -> tuple[dict[str, np.ndarray], dict]:
     entries = manifest.get("params")
     if not isinstance(entries, dict):
         raise CheckpointFormatError("checkpoint manifest has no params table")
-    try:
-        with open(blob_path(base), "rb") as f:
-            blob = f.read()
-    except FileNotFoundError:
-        raise CheckpointFormatError(f"missing checkpoint blob {blob_path(base)}")
-
-    out: dict[str, np.ndarray] = {}
-    spans = []
-    for name, meta in entries.items():
-        if not isinstance(meta, dict) or meta.get("dtype") != "f64":
-            raise CheckpointFormatError(f"param {name!r} is not an f64 entry: {meta!r}")
-        shape = meta.get("shape", [])
-        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-            raise CheckpointFormatError(f"param {name!r} has a bad shape {shape!r}")
-        shape = tuple(shape)
-        offset = meta.get("offset")
-        size = math.prod(shape)   # Python ints: a huge shape cannot wrap around
-        nbytes = size * 8
-        if type(offset) is not int or offset < 0 or offset + nbytes > len(blob):
-            raise CheckpointFormatError(f"param {name!r} points outside the blob")
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-        arr = arr.astype(np.float64).reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointFormatError(f"param {name!r} contains non-finite values")
-        out[name] = arr
-        spans.append((offset, nbytes))
-    # sorted by offset, the params must tile the blob: no overlap, no gap
-    end = 0
-    for offset, nbytes in sorted(spans):
-        if offset != end:
-            raise CheckpointFormatError(f"param byte ranges overlap or leave a gap at {offset}")
-        end += nbytes
-    if end != len(blob):
-        raise CheckpointFormatError(f"blob size {len(blob)} does not match manifest total {end}")
     config = manifest.get("config", {})
     if not isinstance(config, dict):
         raise CheckpointFormatError("checkpoint config must be a JSON object")
+    try:
+        f = open(blob_path(base), "rb")
+    except FileNotFoundError:
+        raise CheckpointFormatError(f"missing checkpoint blob {blob_path(base)}")
+    with f:
+        out: dict[str, np.ndarray] = {}
+        for name, shape, offset in _layout(entries, os.fstat(f.fileno()).st_size):
+            arr = np.empty(shape, dtype="<f8")
+            f.seek(offset)
+            if f.readinto(arr) != arr.nbytes:
+                raise CheckpointFormatError(f"param {name!r}: the blob ended early")
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointFormatError(f"param {name!r} contains non-finite values")
+            out[name] = arr.astype(np.float64, copy=False)   # a copy only on big-endian hosts
     return out, config
 
 

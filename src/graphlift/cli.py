@@ -10,6 +10,7 @@ lines; errors always go to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -62,6 +63,15 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a tolerance or a sweep limit: finite and above zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number above zero, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="graphlift",
                 description="Synthetic hand-object keypoint lifting: data "
@@ -102,7 +112,7 @@ def _build_parser() -> _Parser:
     e.add_argument("--data", required=True, help="evaluation dataset (.jsonl)")
     e.add_argument("--ckpt", required=True, help="checkpoint base path")
     e.add_argument("--report", required=True, help="output directory for CSVs")
-    e.add_argument("--threshold-limit", type=float, default=50.0,
+    e.add_argument("--threshold-limit", type=_positive_float, default=50.0,
                    help="PCP threshold sweep upper end (default 50)")
     e.set_defaults(func=cmd_eval)
 
@@ -129,7 +139,7 @@ def _build_parser() -> _Parser:
                                    "differences and report the worst parameter.")
     c.add_argument("--target", choices=("layers", "unet", "pipeline"),
                    default="layers", help="what to check (default layers)")
-    c.add_argument("--tol", type=float, default=1e-4,
+    c.add_argument("--tol", type=_positive_float, default=1e-4,
                    help="max relative error to pass (default 1e-4)")
     c.add_argument("--eps", type=float, default=1e-5,
                    help="finite-difference step scale (default 1e-5)")

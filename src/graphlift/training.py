@@ -288,9 +288,10 @@ def eval_unet_mean_error(model, records: list[SampleRecord], noise_sigma: float 
 
 
 def pipeline_predictions(pipeline: HopePipeline, records: list[SampleRecord],
-                         chunk: int = 64) -> tuple[np.ndarray, np.ndarray]:
+                         chunk: int = 32) -> tuple[np.ndarray, np.ndarray]:
     """Batched full-cascade inference, recording no autodiff tape: refined
-    2D (S, 29, 2) and 3D (S, 29, 3)."""
+    2D (S, 29, 2) and 3D (S, 29, 3).  The default chunk is the training
+    batch size, so no refine input outgrows a training step's."""
     gt2d, _ = records_to_arrays(records)
     refined_out, pred_out = [], []
     with no_grad():

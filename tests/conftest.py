@@ -6,6 +6,7 @@ and shared by every test that needs a competent 2D->3D lifter.
 
 import pytest
 
+from graphlift.pipeline import HopePipeline, PipelineConfig
 from graphlift.synth import generate_dataset
 from graphlift.training import PRESET_EPOCHS, train_unet_stage2
 from graphlift.unet import GraphUNetModel, UNetConfig
@@ -29,3 +30,10 @@ def stage2_unet(dataset500):
                       batch_size=32, noise_sigma=10.0, optimizer="adam",
                       seed=0)
     return model
+
+
+@pytest.fixture(scope="session")
+def desk_cascade():
+    """The untrained desk-width cascade (3,768,664 parameters), seed 0.
+    Tests only read it."""
+    return HopePipeline(PipelineConfig(), seed=0)

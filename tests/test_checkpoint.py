@@ -1,10 +1,15 @@
 """Checkpoint manifest + blob round-trips and corruption handling."""
 
+import gc
 import json
+import tracemalloc
+import types
+import warnings
 
 import numpy as np
 import pytest
 
+from graphlift import checkpoint
 from graphlift.checkpoint import blob_path, load_checkpoint, manifest_path, save_checkpoint
 from graphlift.errors import CheckpointFormatError
 from graphlift.tensor import Tensor
@@ -118,3 +123,67 @@ def test_bad_dtype_tag(tmp_path):
         json.dump(manifest, open(manifest_path(base), "w"))
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(base)
+
+
+def test_manifest_is_validated_before_data_is_read(tmp_path):
+    base = str(tmp_path / "ck")
+    save_checkpoint(base, {"first": np.array([1.0, np.nan]), "last": np.zeros(2)})
+    with open(manifest_path(base)) as f:
+        manifest = json.load(f)
+    manifest["params"]["last"]["shape"] = [-2]
+    with open(manifest_path(base), "w") as f:
+        json.dump(manifest, f)
+    with pytest.raises(CheckpointFormatError, match="bad shape"):
+        load_checkpoint(base)
+
+
+def test_short_read_is_a_format_error_and_closes_the_blob(tmp_path, monkeypatch):
+    base = str(tmp_path / "ck")
+    save_checkpoint(base, {"a": np.ones(2), "b": np.arange(2.0)})
+    with open(blob_path(base), "r+b") as f:
+        f.truncate(24)
+    # the blob shrinks after its size was taken: the manifest checks pass
+    monkeypatch.setattr(checkpoint.os, "fstat", lambda fd: types.SimpleNamespace(st_size=32))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(CheckpointFormatError, match="ended early"):
+            load_checkpoint(base)
+        gc.collect()   # an unclosed blob warns when the traceback lets it go
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+# ---- memory: at most one model copy ------------------------------------------
+
+
+def _traced_peak(fn):
+    """fn's result and the peak bytes it allocated above what it was given."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_streams_parameters_into_the_blob(desk_cascade, tmp_path):
+    base = str(tmp_path / "desk")
+    params = desk_cascade.parameters()
+    _, peak = _traced_peak(lambda: save_checkpoint(base, params, desk_cascade.config_dict()))
+    assert peak < 1e6
+    with open(blob_path(base), "rb") as f:
+        assert f.read() == b"".join(p.data.astype("<f8").tobytes() for p in params.values())
+
+
+def test_load_holds_one_model_copy(desk_cascade, tmp_path):
+    base = str(tmp_path / "desk")
+    params = desk_cascade.parameters()
+    save_checkpoint(base, params, desk_cascade.config_dict())
+    nbytes = sum(p.data.nbytes for p in params.values())
+    assert nbytes == 3_768_664 * 8
+    (arrays, _), peak = _traced_peak(lambda: load_checkpoint(base))
+    assert peak <= 1.05 * nbytes
+    for k, p in params.items():
+        arr = arrays[k]
+        assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.owndata
+        np.testing.assert_array_equal(arr, p.data)

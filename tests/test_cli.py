@@ -2,6 +2,8 @@
 
 import filecmp
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -61,6 +63,16 @@ def test_gen_is_deterministic(tmp_path):
 
 def test_gen_output_passes_validation(dataset):
     assert len(load_dataset(dataset)) == 30
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = tmp_path / "x.jsonl"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src, "GRAPHLIFT_VERBOSE": "0"}
+    proc = subprocess.run([sys.executable, "-m", "graphlift", "gen", "--n", "2",
+                           "--seed", "0", "--out", str(out)], env=env, timeout=120)
+    assert proc.returncode == 0
+    assert len(load_dataset(str(out))) == 2
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -185,6 +197,18 @@ def test_eval_unet_checkpoint_reaches_full_pcp_at_huge_threshold(
     assert curve.fractions[-1] == 1.0
 
 
+@pytest.mark.parametrize("limit", ["inf", "nan", "0", "-5"])
+def test_eval_rejects_bad_threshold_limit_before_any_work(
+        trained, dataset, tmp_path, capsys, limit):
+    report = str(tmp_path / "report")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "--data", dataset, "--ckpt", trained, "--report", report,
+                     "--threshold-limit", limit]) == 1
+    assert "--threshold-limit" in capsys.readouterr().err
+    assert not os.path.exists(report)
+
+
 def test_eval_missing_checkpoint_exits_2(dataset, tmp_path):
     rc = main(["eval", "--data", dataset, "--ckpt", str(tmp_path / "ghost"),
                "--report", str(tmp_path / "r")])
@@ -251,6 +275,14 @@ def test_gradcheck_layers_passes(capsys):
     assert "FAIL" not in out
     assert out.count("pass") >= 6
     assert "overall max relative error" in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_gradcheck_rejects_bad_tolerance(capsys, tol):
+    assert main(["gradcheck", "--tol", tol]) == 1
+    out, err = capsys.readouterr()
+    assert "--tol" in err
+    assert out == ""        # no case ran
 
 
 # ---- export-adjacency ---------------------------------------------------------

@@ -2,6 +2,7 @@
 divergence contract."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,3 +280,29 @@ def test_training_after_eval_still_records_gradients(records):
     total.backward()
     for k, p in pipe.parameters().items():
         assert p.grad is not None and np.any(p.grad != 0), k
+
+
+@pytest.fixture(scope="module")
+def samples256():
+    return generate_dataset(256, seed=6)
+
+
+def test_pipeline_predictions_chunking(desk_cascade, samples256):
+    ref = pipeline_predictions(desk_cascade, samples256, chunk=32)
+    for chunk in (16, 64):
+        for got, want in zip(pipeline_predictions(desk_cascade, samples256, chunk), ref):
+            np.testing.assert_array_equal(got, want)
+    # with OpenBLAS, a row of a product can differ in its last bits with the
+    # number of rows the product has, so other chunk sizes agree to rounding
+    for got, want in zip(pipeline_predictions(desk_cascade, samples256, chunk=7), ref):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_pipeline_predictions_peak_is_one_training_batch(desk_cascade, samples256):
+    tracemalloc.start()
+    try:
+        pipeline_predictions(desk_cascade, samples256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
