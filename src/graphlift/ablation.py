@@ -15,7 +15,6 @@ error never moves off its initial value are flagged 'frozen'.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ import numpy as np
 from .adjacency import ADJACENCY_INIT_VARIANTS
 from .errors import DomainError, TrainingDiverged
 from .models import FcBaselineModel, PlainGcnModel
+from .outputs import rewrite_csv
 from .synth import SampleRecord
 from .training import eval_unet_mean_error, train_unet_stage2
 from .unet import POOLING_VARIANTS, UNetConfig, GraphUNetModel
@@ -166,19 +166,13 @@ def summarize(runs: list[AblationRun]) -> list[dict]:
 
 
 def write_summary_csv(runs: list[AblationRun], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["variant", "mean_error_mm", "std_over_seeds"])
-        w.writeheader()
-        for row in summarize(runs):
-            w.writerow({k: repr(v) if isinstance(v, float) else v
-                        for k, v in row.items()})
+    rewrite_csv(path, [["variant", "mean_error_mm", "std_over_seeds"],
+                       *([row["variant"], repr(row["mean_error_mm"]),
+                          repr(row["std_over_seeds"])] for row in summarize(runs))])
 
 
 def write_runs_csv(runs: list[AblationRun], path) -> None:
     cols = ["suite", "variant", "seed", "status", "initial_error_mm", "mean_error_mm"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for r in runs:
-            w.writerow([r.suite, r.variant, r.seed, r.status,
-                        repr(r.initial_error_mm), repr(r.mean_error_mm)])
+    rewrite_csv(path, [cols, *([r.suite, r.variant, r.seed, r.status,
+                                 repr(r.initial_error_mm), repr(r.mean_error_mm)]
+                                for r in runs)])

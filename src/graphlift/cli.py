@@ -26,6 +26,7 @@ from .gradcheck import grad_check
 from .layers import AdaptiveGraphConvLayer, GPoolLayer, NodeMap, partition_matrix, uniform_init
 from .metrics import auc, curve_to_csv, default_thresholds, pcp_curve, per_joint_errors
 from .models import load_model, save_model
+from .outputs import rewrite_in_place
 from .pipeline import HopePipeline, PipelineConfig, hope_loss_terms
 from .synth import generate_dataset, load_dataset, save_dataset, records_to_arrays
 from .tensor import Tensor, mse
@@ -234,10 +235,9 @@ def cmd_eval(args) -> int:
 
     errs = per_joint_errors(pred3d, gt3d)
     graph = default_graph()
-    with open(os.path.join(args.report, "per_joint.csv"), "w") as fh:
-        fh.write("node,name,mean_error_mm\n")
-        for i, v in enumerate(errs["per_node"]):
-            fh.write(f"{i},{graph.node_names[i]},{float(v)!r}\n")
+    rewrite_in_place(os.path.join(args.report, "per_joint.csv"), "".join(
+        ["node,name,mean_error_mm\n"]
+        + [f"{i},{graph.node_names[i]},{float(v)!r}\n" for i, v in enumerate(errs["per_node"])]))
     summary.append(("mean_error_3d_mm", errs["all"]))
     summary.append(("mean_error_3d_hand_mm", errs["hand"]))
     summary.append(("mean_error_3d_object_mm", errs["object"]))
@@ -246,10 +246,8 @@ def cmd_eval(args) -> int:
     for f, v in errs["fingers"].items():
         summary.append((f"error_{f}_mm", v))
 
-    with open(os.path.join(args.report, "summary.csv"), "w") as fh:
-        fh.write("metric,value\n")
-        for k, v in summary:
-            fh.write(f"{k},{v!r}\n")
+    rewrite_in_place(os.path.join(args.report, "summary.csv"), "".join(
+        ["metric,value\n"] + [f"{k},{v!r}\n" for k, v in summary]))
     _info(f"report written to {args.report} "
           f"(mean 3D error {errs['all']:.2f} mm)")
     return 0
@@ -262,8 +260,8 @@ def cmd_ablate(args) -> int:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     config = AblationConfig(epochs=args.epochs, batch_size=args.batch_size,
                             unet_widths=widths)
-    runs = run_ablation(args.suite, records, args.seeds, config, jobs=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
+    runs = run_ablation(args.suite, records, args.seeds, config, jobs=args.jobs)
     write_runs_csv(runs, os.path.join(args.out_dir, f"{args.suite}_runs.csv"))
     write_summary_csv(runs, os.path.join(args.out_dir, f"{args.suite}_summary.csv"))
     for r in runs:
@@ -361,11 +359,8 @@ def cmd_export_adjacency(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     for name, a in sorted(adaptive.items()):
         fname = name.replace(".", "_") + ".csv"
-        path = os.path.join(args.out_dir, fname)
-        with open(path, "w") as fh:
-            fh.write(f"{a.shape[0]}\n")
-            for row in a:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        rewrite_in_place(os.path.join(args.out_dir, fname), "".join(
+            [f"{a.shape[0]}\n"] + [",".join(repr(float(v)) for v in row) + "\n" for row in a]))
     _info(f"exported {len(adaptive)} adjacency kernels to {args.out_dir}")
     return 0
 
@@ -382,7 +377,8 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (DatasetFormatError, CheckpointFormatError, DegenerateGeometryError,
-            FileNotFoundError, IsADirectoryError) as e:
+            FileNotFoundError, IsADirectoryError, FileExistsError,
+            NotADirectoryError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

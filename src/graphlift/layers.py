@@ -151,31 +151,30 @@ def _gather_rows_batched(x: Tensor, idx: np.ndarray) -> Tensor:
     """out[b, i, :] = x[b, idx[b, i], :] with gradient scatter.
 
     The indices in each idx[b] must be distinct: the backward pass writes
-    with put_along_axis, which overwrites repeated rows instead of summing
-    them.  Top-k selections never repeat an index.
+    by fancy-index assignment, which overwrites repeated rows instead of
+    summing them.  Top-k selections never repeat an index.
     """
-    idx3 = idx[:, :, None]
+    b = np.arange(idx.shape[0])[:, None]
 
     def scatter(g):
         buf = np.zeros_like(x.data)
-        np.put_along_axis(buf, np.broadcast_to(idx3, g.shape), g, axis=1)
+        buf[b, idx] = g
         return buf
-    return _record(np.take_along_axis(x.data, idx3, axis=1), (x, scatter))
+    return _record(x.data[b, idx], (x, scatter))
 
 
 def scatter_rows_batched(x: Tensor, idx: np.ndarray, num_nodes: int) -> Tensor:
     """Inverse of the batched gather: place rows at idx, zeros elsewhere.
 
     Same precondition as _gather_rows_batched: the indices in each idx[b]
-    are distinct, or put_along_axis keeps only the last row written.
+    are distinct, or the assignment keeps only the last row written.
     """
     if x.ndim != 3:
         raise DimensionError(f"scatter expects batched (B, k, f) input, got {x.shape}")
-    idx3 = idx[:, :, None]
-    shape = (x.shape[0], num_nodes, x.shape[2])
-    buf = np.zeros(shape, dtype=np.float64)
-    np.put_along_axis(buf, np.broadcast_to(idx3, x.data.shape), x.data, axis=1)
-    return _record(buf, (x, lambda g: np.take_along_axis(g, idx3, axis=1)))
+    b = np.arange(idx.shape[0])[:, None]
+    buf = np.zeros((x.shape[0], num_nodes, x.shape[2]), dtype=np.float64)
+    buf[b, idx] = x.data
+    return _record(buf, (x, lambda g: g[b, idx]))
 
 
 # ---- constant maps for the fixed-grouping baseline ---------------------

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .keypoints import NUM_NODES, FINGER_NAMES, JOINT_TYPES, default_graph
+from .outputs import rewrite_csv
 
 __all__ = [
     "PcpCurve", "pcp", "pcp_curve", "auc", "per_joint_errors",
@@ -117,11 +118,9 @@ def per_joint_errors(preds, gts) -> dict:
 
 
 def curve_to_csv(curve: PcpCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["threshold", "fraction"])
-        for t, f in zip(curve.thresholds, curve.fractions):
-            w.writerow([repr(float(t)), repr(float(f))])
+    rewrite_csv(path, [["threshold", "fraction"],
+                       *([repr(float(t)), repr(float(f))]
+                         for t, f in zip(curve.thresholds, curve.fractions))])
 
 
 def curve_from_csv(path) -> PcpCurve:

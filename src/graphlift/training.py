@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, TrainingDiverged
 from .optim import SGD, Adam, SgdSchedule
+from .outputs import rewrite_in_place
 from .pipeline import HopeLossWeights, HopePipeline, hope_loss_terms
 from .synth import SampleRecord, add_noise, records_to_arrays
 from .tensor import mse, no_grad
@@ -114,14 +115,12 @@ class TrainingLog:
         return np.array([r["total"] for r in rows], dtype=np.float64)
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(",".join(LOG_COLUMNS) + "\n")
-            for r in self.rows:
-                cells = []
-                for c in LOG_COLUMNS:
-                    v = r[c]
-                    cells.append("" if v is None else (repr(v) if isinstance(v, float) else str(v)))
-                f.write(",".join(cells) + "\n")
+        lines = [",".join(LOG_COLUMNS)]
+        for r in self.rows:
+            lines.append(",".join(
+                "" if v is None else (repr(v) if isinstance(v, float) else str(v))
+                for v in (r[c] for c in LOG_COLUMNS)))
+        rewrite_in_place(path, "\n".join(lines) + "\n")
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):

@@ -5,6 +5,7 @@ import json
 import tracemalloc
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,9 +41,9 @@ def test_roundtrip_exact(tmp_path):
 def test_manifest_is_stable_json(tmp_path):
     base = str(tmp_path / "ck")
     save_checkpoint(base, {"w": np.zeros(2)}, {"z": 1, "a": 2})
-    text1 = open(manifest_path(base)).read()
+    text1 = Path(manifest_path(base)).read_text()
     save_checkpoint(base, {"w": np.zeros(2)}, {"a": 2, "z": 1})
-    text2 = open(manifest_path(base)).read()
+    text2 = Path(manifest_path(base)).read_text()
     assert text1 == text2          # sorted keys make the file order-independent
     manifest = json.loads(text1)
     assert manifest["format_version"] == 1
@@ -61,8 +62,8 @@ def test_missing_files(tmp_path):
 def test_truncated_blob(tmp_path):
     base = str(tmp_path / "ck")
     save_checkpoint(base, {"w": np.arange(4.0)})
-    blob = open(blob_path(base), "rb").read()
-    open(blob_path(base), "wb").write(blob[:-8])
+    blob = Path(blob_path(base)).read_bytes()
+    Path(blob_path(base)).write_bytes(blob[:-8])
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(base)
 
@@ -77,9 +78,9 @@ def test_oversized_blob(tmp_path):
     # two 1-element params both at offset 0 of a 16-byte blob: the sizes add
     # up, but the ranges overlap and leave the second half unread
     save_checkpoint(base, {"a": np.ones(1), "b": np.full(1, 2.0)})
-    manifest = json.load(open(manifest_path(base)))
+    manifest = json.loads(Path(manifest_path(base)).read_text())
     manifest["params"]["b"]["offset"] = 0
-    json.dump(manifest, open(manifest_path(base), "w"))
+    Path(manifest_path(base)).write_text(json.dumps(manifest))
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(base)
 
@@ -87,9 +88,9 @@ def test_oversized_blob(tmp_path):
 def test_bad_version(tmp_path):
     base = str(tmp_path / "ck")
     save_checkpoint(base, {"w": np.zeros(1)})
-    manifest = json.load(open(manifest_path(base)))
+    manifest = json.loads(Path(manifest_path(base)).read_text())
     manifest["format_version"] = 99
-    json.dump(manifest, open(manifest_path(base), "w"))
+    Path(manifest_path(base)).write_text(json.dumps(manifest))
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(base)
 
@@ -98,7 +99,7 @@ def test_non_finite_blob_rejected(tmp_path):
     base = str(tmp_path / "ck")
     save_checkpoint(base, {"w": np.zeros(3)})
     bad = np.array([1.0, np.nan, 2.0]).astype("<f8").tobytes()
-    open(blob_path(base), "wb").write(bad)
+    Path(blob_path(base)).write_bytes(bad)
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(base)
 
@@ -107,7 +108,7 @@ def test_corrupt_manifest_json(tmp_path):
     base = str(tmp_path / "ck")
     save_checkpoint(base, {"w": np.zeros(1)})
     for text in (b"{not json", b'{"format_version": 1, "x": "\xff\xfe"}'):
-        open(manifest_path(base), "wb").write(text)
+        Path(manifest_path(base)).write_bytes(text)
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(base)
 
@@ -115,12 +116,12 @@ def test_corrupt_manifest_json(tmp_path):
 def test_bad_dtype_tag(tmp_path):
     base = str(tmp_path / "ck")
     save_checkpoint(base, {"w": np.zeros(1)})
-    good = json.load(open(manifest_path(base)))["params"]["w"]
+    good = json.loads(Path(manifest_path(base)).read_text())["params"]["w"]
     for entry in ({**good, "dtype": "f32"}, [good], {**good, "shape": 5},
                   {**good, "shape": [True]}, {**good, "shape": [2**62, 8]}):
-        manifest = json.load(open(manifest_path(base)))
+        manifest = json.loads(Path(manifest_path(base)).read_text())
         manifest["params"]["w"] = entry
-        json.dump(manifest, open(manifest_path(base), "w"))
+        Path(manifest_path(base)).write_text(json.dumps(manifest))
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(base)
 

@@ -65,6 +65,12 @@ def test_gen_output_passes_validation(dataset):
     assert len(load_dataset(dataset)) == 30
 
 
+def test_gen_out_under_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "f").write_text("")
+    assert main(["gen", "--n", "2", "--out", str(tmp_path / "f" / "x.jsonl")]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     out = tmp_path / "x.jsonl"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -186,6 +192,42 @@ def test_eval_report_files_and_auc_consistency(trained, dataset, tmp_path):
     assert abs(per_node.mean() - summary["mean_error_3d_mm"]) < 1e-9
 
 
+def test_eval_rerun_rewrites_every_report_file_on_its_inode(
+        trained, dataset, tmp_path, monkeypatch):
+    """A second eval overwrites each report file in place: same inode, same
+    bytes, and each is cut only to its full new length, never to zero."""
+    report = str(tmp_path / "report")
+    argv = ["eval", "--data", dataset, "--ckpt", trained, "--report", report]
+    assert main(argv) == 0
+    first = {}
+    for name in os.listdir(report):
+        with open(os.path.join(report, name), "rb") as fh:
+            first[name] = (os.fstat(fh.fileno()).st_ino, fh.read())
+    assert len(first) == 6
+    cuts = {}
+    real_ftruncate = os.ftruncate
+
+    def ftruncate(fd, length):
+        cuts[os.fstat(fd).st_ino] = length
+        real_ftruncate(fd, length)
+    monkeypatch.setattr(os, "ftruncate", ftruncate)
+    assert main(argv) == 0
+    for name, (inode, data) in first.items():
+        path = os.path.join(report, name)
+        assert os.stat(path).st_ino == inode
+        assert cuts[inode] == len(data)
+        with open(path, "rb") as fh:
+            assert fh.read() == data
+
+
+def test_eval_report_path_that_is_a_file_exits_2(trained, dataset, tmp_path, capsys):
+    report = tmp_path / "report"
+    report.write_text("")
+    assert main(["eval", "--data", dataset, "--ckpt", trained,
+                 "--report", str(report)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_eval_unet_checkpoint_reaches_full_pcp_at_huge_threshold(
         unet_ckpt, dataset, tmp_path):
     report = str(tmp_path / "report")
@@ -239,6 +281,14 @@ def test_ablate_writes_tables_deterministically(dataset, tmp_path):
     for name in ("pooling_runs.csv", "pooling_summary.csv"):
         assert filecmp.cmp(os.path.join(d1, name), os.path.join(d2, name),
                            shallow=False)
+
+
+def test_ablate_out_dir_that_is_a_file_exits_2(dataset, tmp_path, capsys):
+    out = tmp_path / "r"
+    out.write_text("")
+    assert main(["ablate", "--suite", "pooling", "--data", dataset, "--out-dir", str(out),
+                 "--seeds", "0", "--epochs", "1", "--widths", "4,8,8,16"]) == 2
+    assert "data error" in capsys.readouterr().err
 
 
 def test_ablate_rejects_bad_arguments(dataset, tmp_path):

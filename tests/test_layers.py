@@ -227,7 +227,7 @@ def test_gpool_gradient():
 def test_gather_scatter_rows_round_trip_and_gradients():
     """Rows gathered at distinct indices scatter back to their places, and
     both ops pass a gradient check.  Distinct indices are a precondition
-    (put_along_axis overwrites repeats), which top-k selection meets."""
+    (index assignment overwrites repeats), which top-k selection meets."""
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True, name="x")
     idx = np.array([[3, 1], [0, 4]])

@@ -86,6 +86,28 @@ def test_relu_zero_gets_zero_gradient():
     np.testing.assert_array_equal(x.grad, [0.0])
 
 
+def test_relu_matches_where_formula_bitwise():
+    """The max/multiply kernel gives the bits of the np.where formula, signed
+    zeros and subnormals included, for the value and the gradient."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edge = np.array([-0.0, 0.0, tiny, -tiny, 2.0e-308, -2.0e-308, 1e308, -1e308])
+    rng = np.random.default_rng(5)
+    x_data = np.concatenate([edge, rng.normal(size=56)]).reshape(2, 4, 8)
+    g = np.concatenate([edge[::-1], -edge, rng.normal(size=48)]).reshape(2, 4, 8)
+    x = Tensor(x_data, requires_grad=True)
+    y = relu(x)
+    (y * Tensor(g)).sum().backward()
+    mask = x_data > 0
+    assert y.data.tobytes() == np.where(mask, x_data, 0.0).tobytes()
+    assert x.grad.tobytes() == np.where(mask, g, 0.0).tobytes()
+
+
+def test_relu_propagates_nan():
+    x = Tensor([1.0, -1.0, 0.0])
+    x.data[1] = np.nan
+    np.testing.assert_array_equal(relu(x).data, [1.0, np.nan, 0.0])
+
+
 def test_sigmoid_stable_at_extremes():
     s = sigmoid(Tensor([-1000.0, 0.0, 1000.0]))
     np.testing.assert_allclose(s.data, [0.0, 0.5, 1.0], atol=1e-12)
@@ -251,7 +273,7 @@ def test_diamond_graph_accumulates():
 
 def test_gather_nodes_selects_and_accumulates():
     """Node-row gather on the batched op.  Indices within one gather are
-    distinct (put_along_axis overwrites repeats); a row gathered by two
+    distinct (index assignment overwrites repeats); a row gathered by two
     separate gathers accumulates both gradients."""
     x = Tensor(np.arange(12.0).reshape(1, 4, 3), requires_grad=True)
     out = _gather_rows_batched(x, np.array([[2, 0]]))
