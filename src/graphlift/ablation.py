@@ -42,6 +42,12 @@ SUITES = {
 
 DEFAULT_SEEDS = (0, 1, 2)
 
+# Every variant trains with Adam on noiseless inputs and holds out the
+# last fifth of the records for evaluation.
+NOISE_SIGMA = 0.0
+OPTIMIZER = "adam"
+EVAL_FRACTION = 0.2
+
 
 @dataclass(frozen=True)
 class AblationConfig:
@@ -54,18 +60,16 @@ class AblationConfig:
 
     epochs: int = 30
     batch_size: int = 64
-    noise_sigma: float = 0.0
-    optimizer: str = "adam"
     unet_widths: tuple = (16, 32, 64, 128)
-    eval_fraction: float = 0.2
 
     def __post_init__(self):
         if self.epochs < 1:
             raise DomainError("epochs must be positive")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be positive, got {self.batch_size}")
-        if not 0.0 < self.eval_fraction < 1.0:
-            raise DomainError("eval_fraction must be in (0, 1)")
+        # the U-Net config owns the width rules; checking here rejects bad
+        # widths before any variant of a suite trains
+        UNetConfig(feature_schedule=self.unet_widths)
 
 
 @dataclass(frozen=True)
@@ -96,8 +100,8 @@ def _build_model(suite: str, variant: str, seed: int, config: AblationConfig):
     raise DomainError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
 
 
-def _split(records: list[SampleRecord], eval_fraction: float):
-    n_eval = max(1, int(round(len(records) * eval_fraction)))
+def _split(records: list[SampleRecord]):
+    n_eval = max(1, int(round(len(records) * EVAL_FRACTION)))
     if n_eval >= len(records):
         raise DomainError("dataset too small to hold out an eval slice")
     return records[:-n_eval], records[-n_eval:]
@@ -106,14 +110,14 @@ def _split(records: list[SampleRecord], eval_fraction: float):
 def run_one(suite: str, variant: str, seed: int, records: list[SampleRecord],
             config: AblationConfig = AblationConfig()) -> AblationRun:
     """Train and evaluate a single (variant, seed) cell."""
-    train_recs, eval_recs = _split(records, config.eval_fraction)
+    train_recs, eval_recs = _split(records)
     model = _build_model(suite, variant, seed, config)
-    initial = eval_unet_mean_error(model, eval_recs, config.noise_sigma, seed)
+    initial = eval_unet_mean_error(model, eval_recs, NOISE_SIGMA, seed)
     status = "ok"
     try:
         train_unet_stage2(model, train_recs, config.epochs, config.batch_size,
-                          config.noise_sigma, config.optimizer, seed=seed)
-        final = eval_unet_mean_error(model, eval_recs, config.noise_sigma, seed)
+                          NOISE_SIGMA, OPTIMIZER, seed=seed)
+        final = eval_unet_mean_error(model, eval_recs, NOISE_SIGMA, seed)
         if not math.isfinite(final):
             status, final = "diverged", math.inf
         elif abs(final - initial) < 1e-9 * max(1.0, abs(initial)):

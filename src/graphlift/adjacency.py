@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .keypoints import NUM_NODES, default_graph
+from .keypoints import NUM_NODES, skeleton_adjacency
 
 __all__ = ["normalize_adjacency", "initial_adjacency", "ADJACENCY_INIT_VARIANTS"]
 
@@ -58,7 +58,7 @@ def initial_adjacency(variant: str, n: int, rng: np.random.Generator) -> np.ndar
         return rng.uniform(0.0, 1.0, size=(n, n))
     if variant == "skeleton":
         if n == NUM_NODES:
-            return normalize_adjacency(default_graph().skeleton_adjacency)
+            return normalize_adjacency(skeleton_adjacency())
         return np.eye(n)
     raise DomainError(f"unknown adjacency init {variant!r}; "
                       f"expected one of {ADJACENCY_INIT_VARIANTS}")

@@ -31,11 +31,11 @@ from .pipeline import HopePipeline, PipelineConfig, hope_loss_terms
 from .synth import generate_dataset, load_dataset, save_dataset, records_to_arrays
 from .tensor import Tensor, mse
 from .training import (
-    TrainConfig, mean_keypoint_error, pipeline_predictions, unet_predictions,
+    PRESET_EPOCHS, TrainConfig, mean_keypoint_error, pipeline_predictions, unet_predictions,
     train as train_pipeline,
 )
 from .unet import UNetConfig, GraphUNetModel
-from .keypoints import default_graph
+from .keypoints import NODE_NAMES
 
 __all__ = ["main"]
 
@@ -62,6 +62,11 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"a seed must be a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _int_list(text: str) -> tuple:
+    """argparse type of a comma-separated list of integers (a ValueError is a usage error)."""
+    return tuple(int(s) for s in text.split(","))
 
 
 def _positive_float(text: str) -> float:
@@ -97,7 +102,7 @@ def _build_parser() -> _Parser:
                    help="checkpoint base path (writes .json and .bin)")
     t.add_argument("--log", default=None,
                    help="training log CSV (default <out-ckpt>_log.csv)")
-    t.add_argument("--stage-epochs", default=None, metavar="E1,E2,E3",
+    t.add_argument("--stage-epochs", type=_int_list, default=None, metavar="E1,E2,E3",
                    help="override the preset epoch counts")
     t.add_argument("--optimizer", choices=("adam", "sgd"), default="adam",
                    help="optimizer (default adam)")
@@ -129,7 +134,7 @@ def _build_parser() -> _Parser:
     a.add_argument("--epochs", type=int, default=30,
                    help="training epochs per run (default 30)")
     a.add_argument("--batch-size", type=int, default=64, help="default 64")
-    a.add_argument("--widths", default="16,32,64,128", metavar="W0,W1,...",
+    a.add_argument("--widths", type=_int_list, default="16,32,64,128", metavar="W0,W1,...",
                    help="U-Net feature widths (default 16,32,64,128)")
     a.add_argument("--jobs", type=int, default=1,
                    help="parallel worker processes (default 1)")
@@ -162,36 +167,18 @@ def _build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
-    if args.n <= 0:
-        raise UsageError(f"--n must be a positive sample count, got {args.n}")
     records = generate_dataset(args.n, args.seed)
     save_dataset(args.out, records)
     _info(f"wrote {len(records)} samples to {args.out}")
     return 0
 
 
-def _parse_int_list(text: str, flag: str) -> tuple:
-    try:
-        values = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
-    return values
-
-
 def cmd_train(args) -> int:
     records = load_dataset(args.data)
-    overrides = {
-        "batch_size": args.batch_size,
-        "optimizer": args.optimizer,
-        "noise_sigma": args.noise_sigma,
-        "seed": args.seed,
-    }
-    if args.stage_epochs is not None:
-        epochs = _parse_int_list(args.stage_epochs, "--stage-epochs")
-        if len(epochs) != 3:
-            raise UsageError("--stage-epochs expects exactly three values")
-        overrides["stage_epochs"] = epochs
-    config = TrainConfig.from_preset(args.preset, **overrides)
+    epochs = PRESET_EPOCHS[args.preset] if args.stage_epochs is None else args.stage_epochs
+    config = TrainConfig(stage_epochs=epochs, preset=args.preset,
+                         batch_size=args.batch_size, optimizer=args.optimizer,
+                         noise_sigma=args.noise_sigma, seed=args.seed)
     pipeline = HopePipeline(PipelineConfig(), seed=args.seed)
     log_path = args.log if args.log is not None else args.out_ckpt + "_log.csv"
     try:
@@ -234,10 +221,9 @@ def cmd_eval(args) -> int:
                         auc(curve)))
 
     errs = per_joint_errors(pred3d, gt3d)
-    graph = default_graph()
     rewrite_in_place(os.path.join(args.report, "per_joint.csv"), "".join(
         ["node,name,mean_error_mm\n"]
-        + [f"{i},{graph.node_names[i]},{float(v)!r}\n" for i, v in enumerate(errs["per_node"])]))
+        + [f"{i},{NODE_NAMES[i]},{float(v)!r}\n" for i, v in enumerate(errs["per_node"])]))
     summary.append(("mean_error_3d_mm", errs["all"]))
     summary.append(("mean_error_3d_hand_mm", errs["hand"]))
     summary.append(("mean_error_3d_object_mm", errs["object"]))
@@ -255,11 +241,10 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     records = load_dataset(args.data)
-    widths = _parse_int_list(args.widths, "--widths")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     config = AblationConfig(epochs=args.epochs, batch_size=args.batch_size,
-                            unet_widths=widths)
+                            unet_widths=args.widths)
     os.makedirs(args.out_dir, exist_ok=True)
     runs = run_ablation(args.suite, records, args.seeds, config, jobs=args.jobs)
     write_runs_csv(runs, os.path.join(args.out_dir, f"{args.suite}_runs.csv"))

@@ -13,15 +13,14 @@ bit).  Hand and object nodes are not connected in this prior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "NUM_HAND_NODES", "NUM_OBJECT_NODES", "NUM_NODES",
-    "FINGER_NAMES", "JOINT_TYPES", "KeypointGraph", "default_graph",
+    "FINGER_NAMES", "JOINT_TYPES", "NODE_NAMES", "HAND_INDICES", "OBJECT_INDICES",
+    "skeleton_adjacency", "finger_indices", "joint_type_indices", "resolve_subset",
     "FIXED_POOL_GROUPS",
 ]
 
@@ -58,61 +57,49 @@ def _skeleton_edges() -> list[tuple[int, int]]:
     return edges
 
 
-@dataclass(frozen=True)
-class KeypointGraph:
-    node_names: tuple[str, ...] = field(default_factory=_node_names)
+NODE_NAMES = _node_names()
 
-    def __post_init__(self):
-        if len(self.node_names) != NUM_NODES:
-            raise DimensionError(f"expected {NUM_NODES} node names, got {len(self.node_names)}")
-
-    @property
-    def skeleton_adjacency(self) -> np.ndarray:
-        a = np.zeros((NUM_NODES, NUM_NODES), dtype=np.float64)
-        for i, j in _skeleton_edges():
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-        return a
-
-    @property
-    def hand_indices(self) -> np.ndarray:
-        return np.arange(NUM_HAND_NODES)
-
-    @property
-    def object_indices(self) -> np.ndarray:
-        return np.arange(NUM_HAND_NODES, NUM_NODES)
-
-    def finger_indices(self, finger: str) -> np.ndarray:
-        if finger not in FINGER_NAMES:
-            raise DomainError(f"unknown finger {finger!r}")
-        f = FINGER_NAMES.index(finger)
-        return np.arange(1 + 4 * f, 1 + 4 * f + 4)
-
-    def joint_type_indices(self, joint: str) -> np.ndarray:
-        """Indices of all joints of one type ('wrist', 'mcp', 'pip', 'dip', 'tip')."""
-        if joint == "wrist":
-            return np.array([0])
-        if joint not in JOINT_TYPES:
-            raise DomainError(f"unknown joint type {joint!r}")
-        j = JOINT_TYPES.index(joint)
-        return np.array([1 + 4 * f + j for f in range(5)])
-
-    def tip_indices(self) -> np.ndarray:
-        return self.joint_type_indices("tip")
-
-    def resolve_subset(self, subset: str) -> np.ndarray:
-        """Map 'all' / 'hand' / 'object' to node indices."""
-        if subset == "all":
-            return np.arange(NUM_NODES)
-        if subset == "hand":
-            return self.hand_indices
-        if subset == "object":
-            return self.object_indices
-        raise DomainError(f"unknown keypoint subset {subset!r}")
+HAND_INDICES = np.arange(NUM_HAND_NODES)
+OBJECT_INDICES = np.arange(NUM_HAND_NODES, NUM_NODES)
+# Shared by every caller, so a write through one would corrupt the rest.
+HAND_INDICES.flags.writeable = False
+OBJECT_INDICES.flags.writeable = False
 
 
-def default_graph() -> KeypointGraph:
-    return KeypointGraph()
+def skeleton_adjacency() -> np.ndarray:
+    a = np.zeros((NUM_NODES, NUM_NODES), dtype=np.float64)
+    for i, j in _skeleton_edges():
+        a[i, j] = 1.0
+        a[j, i] = 1.0
+    return a
+
+
+def finger_indices(finger: str) -> np.ndarray:
+    if finger not in FINGER_NAMES:
+        raise DomainError(f"unknown finger {finger!r}")
+    f = FINGER_NAMES.index(finger)
+    return np.arange(1 + 4 * f, 1 + 4 * f + 4)
+
+
+def joint_type_indices(joint: str) -> np.ndarray:
+    """Indices of all joints of one type ('wrist', 'mcp', 'pip', 'dip', 'tip')."""
+    if joint == "wrist":
+        return np.array([0])
+    if joint not in JOINT_TYPES:
+        raise DomainError(f"unknown joint type {joint!r}")
+    j = JOINT_TYPES.index(joint)
+    return np.array([1 + 4 * f + j for f in range(5)])
+
+
+def resolve_subset(subset: str) -> np.ndarray:
+    """Map 'all' / 'hand' / 'object' to node indices."""
+    if subset == "all":
+        return np.arange(NUM_NODES)
+    if subset == "hand":
+        return HAND_INDICES
+    if subset == "object":
+        return OBJECT_INDICES
+    raise DomainError(f"unknown keypoint subset {subset!r}")
 
 
 def _groups_29_to_15() -> list[list[int]]:

@@ -8,18 +8,18 @@ area under the curve normalized by the threshold span.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .keypoints import NUM_NODES, FINGER_NAMES, JOINT_TYPES, default_graph
+from .keypoints import (FINGER_NAMES, HAND_INDICES, JOINT_TYPES, NUM_NODES, OBJECT_INDICES,
+                        finger_indices, joint_type_indices, resolve_subset)
 from .outputs import rewrite_csv
 
 __all__ = [
-    "PcpCurve", "pcp", "pcp_curve", "auc", "per_joint_errors",
-    "default_thresholds", "curve_to_csv", "curve_from_csv",
+    "PcpCurve", "pcp_curve", "auc", "per_joint_errors",
+    "default_thresholds", "curve_to_csv",
 ]
 
 
@@ -58,26 +58,10 @@ def _distances(preds, gts) -> np.ndarray:
     return np.linalg.norm(p - g, axis=2)
 
 
-def _sample_means(preds, gts, subset) -> np.ndarray:
-    idx = default_graph().resolve_subset(subset)
-    return _distances(preds, gts)[:, idx].mean(axis=1)
-
-
-def pcp(preds, gts, threshold: float, subset="all") -> float:
-    """Fraction of samples whose mean keypoint error is strictly below
-    the threshold."""
-    if not (np.isfinite(threshold) and threshold > 0):
-        raise DomainError(f"threshold must be positive, got {threshold}")
-    means = _sample_means(preds, gts, subset)
-    return float(np.mean(means < threshold))
-
-
-def pcp_curve(preds, gts, thresholds=None, subset="all") -> PcpCurve:
-    """PCP swept over a grid of thresholds (default 0..50)."""
-    if thresholds is None:
-        thresholds = default_thresholds()
+def pcp_curve(preds, gts, thresholds, subset="all") -> PcpCurve:
+    """PCP swept over a grid of thresholds, such as default_thresholds()."""
     t = np.asarray(thresholds, dtype=np.float64)
-    means = _sample_means(preds, gts, subset)
+    means = _distances(preds, gts)[:, resolve_subset(subset)].mean(axis=1)
     fractions = (means[:, None] < t[None, :]).mean(axis=0)
     return PcpCurve(t, fractions)
 
@@ -101,18 +85,17 @@ def per_joint_errors(preds, gts) -> dict:
     'fingers' sub-dicts, and scalar 'hand' / 'object' / 'all' means.
     """
     d = _distances(preds, gts)
-    graph = default_graph()
     per_node = d.mean(axis=0)
     joint_types = {"wrist": float(per_node[0])}
     for jt in JOINT_TYPES:
-        joint_types[jt] = float(per_node[graph.joint_type_indices(jt)].mean())
-    fingers = {f: float(per_node[graph.finger_indices(f)].mean()) for f in FINGER_NAMES}
+        joint_types[jt] = float(per_node[joint_type_indices(jt)].mean())
+    fingers = {f: float(per_node[finger_indices(f)].mean()) for f in FINGER_NAMES}
     return {
         "per_node": per_node,
         "joint_types": joint_types,
         "fingers": fingers,
-        "hand": float(per_node[graph.hand_indices].mean()),
-        "object": float(per_node[graph.object_indices].mean()),
+        "hand": float(per_node[HAND_INDICES].mean()),
+        "object": float(per_node[OBJECT_INDICES].mean()),
         "all": float(per_node.mean()),
     }
 
@@ -121,12 +104,3 @@ def curve_to_csv(curve: PcpCurve, path) -> None:
     rewrite_csv(path, [["threshold", "fraction"],
                        *([repr(float(t)), repr(float(f))]
                          for t, f in zip(curve.thresholds, curve.fractions))])
-
-
-def curve_from_csv(path) -> PcpCurve:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["threshold", "fraction"]:
-        raise DomainError(f"{path} is not a PCP curve CSV")
-    body = np.array([[float(a), float(b)] for a, b in rows[1:]], dtype=np.float64)
-    return PcpCurve(body[:, 0], body[:, 1])

@@ -14,8 +14,8 @@ import numpy as np
 
 from .adjacency import normalize_adjacency
 from .checkpoint import load_checkpoint, load_state, save_checkpoint
-from .errors import CheckpointFormatError, DomainError
-from .keypoints import NUM_NODES, default_graph
+from .errors import CheckpointFormatError, DimensionError, DomainError
+from .keypoints import NUM_NODES, skeleton_adjacency
 from .layers import uniform_init
 from .pipeline import HopePipeline, PipelineConfig
 from .tensor import Tensor, matmul, relu
@@ -71,7 +71,7 @@ class PlainGcnModel(_LiftModelBase):
         self.hidden = tuple(int(h) for h in hidden)
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
-        self.adjacency = Tensor(normalize_adjacency(default_graph().skeleton_adjacency))
+        self.adjacency = Tensor(normalize_adjacency(skeleton_adjacency()))
         widths = [3] + list(self.hidden) + [3]
         self.weights = []
         for i, (a, b) in enumerate(zip(widths, widths[1:])):
@@ -103,21 +103,21 @@ def load_model(base: str):
     arrays, config = load_checkpoint(base)
     kind = config.get("kind")
     try:
+        seed = int(config.get("seed", 0))
         if kind == "unet":
-            model = GraphUNetModel(UNetConfig(**config["unet"]),
-                                   seed=int(config.get("seed", 0)))
+            model = GraphUNetModel(UNetConfig(**config["unet"]), seed=seed)
         elif kind == "pipeline":
-            model = HopePipeline(PipelineConfig.from_dict(config["pipeline"]),
-                                 seed=int(config.get("seed", 0)))
+            model = HopePipeline(PipelineConfig.from_dict(config["pipeline"]), seed=seed)
         elif kind == "fc":
-            model = FcBaselineModel(tuple(config["fc"]["hidden"]),
-                                    seed=int(config.get("seed", 0)))
+            model = FcBaselineModel(tuple(config["fc"]["hidden"]), seed=seed)
         elif kind == "gcn":
-            model = PlainGcnModel(tuple(config["gcn"]["hidden"]),
-                                  seed=int(config.get("seed", 0)))
+            model = PlainGcnModel(tuple(config["gcn"]["hidden"]), seed=seed)
         else:
             raise CheckpointFormatError(f"checkpoint has unknown model kind {kind!r}")
     except (KeyError, TypeError, ValueError, DomainError) as e:
         raise CheckpointFormatError(f"checkpoint config is malformed: {e}")
-    load_state(model, arrays)
+    try:
+        load_state(model, arrays)
+    except DimensionError as e:
+        raise CheckpointFormatError(f"checkpoint parameters do not fit its config: {e}")
     return model

@@ -69,6 +69,11 @@ class SGD:
             p.grad = None
 
 
+# Adam's moment decay rates b1, b2 and denominator guard eps.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
 # Elements per slice of Adam's in-place update: the two scratch buffers
 # hold one slice each (256 KB apiece), whatever the parameter sizes.
 _ADAM_BLOCK = 1 << 15
@@ -91,14 +96,8 @@ class Adam:
     is written back.
     """
 
-    def __init__(self, params: Mapping[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise DomainError("betas must be in [0, 1)")
+    def __init__(self, params: Mapping[str, Tensor]):
         self.params = dict(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {k: np.zeros(p.data.size) for k, p in self.params.items()}
         self._v = {k: np.zeros(p.data.size) for k, p in self.params.items()}
@@ -108,9 +107,8 @@ class Adam:
     def step(self, lr: float) -> None:
         _check_step("Adam", self.params, lr)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        bc1 = 1.0 - _BETA1 ** self.t
+        bc2 = 1.0 - _BETA2 ** self.t
         for k, p in self.params.items():
             flat_p = p.data.reshape(-1)      # a copy if p.data is not contiguous
             flat_g = np.ravel(p.grad)        # likewise for the gradient
@@ -120,19 +118,19 @@ class Adam:
                 g, mb, vb = flat_g[lo:hi], m[lo:hi], v[lo:hi]
                 s1, s2 = (buf[:hi - lo] for buf in self._scratch)
                 # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-                mb *= b1
-                np.multiply(1 - b1, g, out=s1)
+                mb *= _BETA1
+                np.multiply(1 - _BETA1, g, out=s1)
                 mb += s1
-                vb *= b2
+                vb *= _BETA2
                 np.multiply(g, g, out=s1)
-                np.multiply(1 - b2, s1, out=s1)
+                np.multiply(1 - _BETA2, s1, out=s1)
                 vb += s1
                 # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
                 np.divide(mb, bc1, out=s1)
                 np.multiply(lr, s1, out=s1)
                 np.divide(vb, bc2, out=s2)
                 np.sqrt(s2, out=s2)
-                s2 += self.eps
+                s2 += _EPS
                 s1 /= s2
                 flat_p[lo:hi] -= s1
             if not p.data.flags.c_contiguous:

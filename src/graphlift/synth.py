@@ -10,17 +10,17 @@ truth only; noise is applied at training/evaluation time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DatasetFormatError, DegenerateGeometryError, DimensionError, DomainError
 from .hand import (DEFAULT_PALM_LENGTHS, DEFAULT_SEGMENT_LENGTHS, HandPoseParams,
                    forward_kinematics, rotation_zyx)
-from .keypoints import NUM_NODES, default_graph
+from .keypoints import NUM_NODES, joint_type_indices
 
 __all__ = [
-    "Camera", "GraspSpec", "SampleRecord",
+    "Camera", "SampleRecord",
     "obb_from_points", "project", "add_noise",
     "generate_dataset", "save_dataset", "load_dataset",
     "records_to_arrays",
@@ -35,9 +35,6 @@ class Camera:
     fy: float = 600.0
     cx: float = 320.0
     cy: float = 320.0
-
-    def to_dict(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Camera":
@@ -147,39 +144,33 @@ def add_noise(coords2d, sigma: float, seed) -> np.ndarray:
 # ---- generation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraspSpec:
-    """Ranges for the randomized hand-grasping-a-box scenes.
-
-    The box is dropped near the fingertip centroid; a whole draw is
-    retried until every keypoint stays inside the depth bounds and
-    projects into the usable image area, so rejected draws consume the
-    sample's own RNG stream and determinism is preserved.
-    """
-
-    depth_range: tuple = (300.0, 800.0)
-    wrist_depth_range: tuple = (450.0, 680.0)
-    wrist_lateral: float = 60.0
-    wrist_rot_max: float = 0.6
-    box_size_range: tuple = (40.0, 110.0)
-    min_box_dim_gap: float = 5.0
-    box_offset: float = 30.0
-    bone_scale_range: tuple = (0.92, 1.08)
-    image_margin: float = 5.0
-    image_size: float = 640.0
-    camera: Camera = field(default_factory=Camera)
-    max_tries: int = 200
+# Ranges of the randomized hand-grasping-a-box scenes.  The box is dropped
+# near the fingertip centroid; a whole draw is retried until every keypoint
+# stays inside the depth bounds and projects into the usable image area, so
+# rejected draws consume the sample's own RNG stream and determinism is
+# preserved.
+DEPTH_RANGE = (300.0, 800.0)
+WRIST_DEPTH_RANGE = (450.0, 680.0)
+WRIST_LATERAL = 60.0
+WRIST_ROT_MAX = 0.6
+BOX_SIZE_RANGE = (40.0, 110.0)
+MIN_BOX_DIM_GAP = 5.0
+BOX_OFFSET = 30.0
+BONE_SCALE_RANGE = (0.92, 1.08)
+IMAGE_MARGIN = 5.0
+IMAGE_SIZE = 640.0
+MAX_TRIES = 200
 
 
-def _draw_hand(rng: np.random.Generator, spec: GraspSpec) -> HandPoseParams:
-    scale = rng.uniform(*spec.bone_scale_range)
+def _draw_hand(rng: np.random.Generator) -> HandPoseParams:
+    scale = rng.uniform(*BONE_SCALE_RANGE)
     return HandPoseParams(
         wrist_pos=np.array([
-            rng.uniform(-spec.wrist_lateral, spec.wrist_lateral),
-            rng.uniform(-spec.wrist_lateral, spec.wrist_lateral),
-            rng.uniform(*spec.wrist_depth_range),
+            rng.uniform(-WRIST_LATERAL, WRIST_LATERAL),
+            rng.uniform(-WRIST_LATERAL, WRIST_LATERAL),
+            rng.uniform(*WRIST_DEPTH_RANGE),
         ]),
-        wrist_rot=rng.uniform(-spec.wrist_rot_max, spec.wrist_rot_max, size=3),
+        wrist_rot=rng.uniform(-WRIST_ROT_MAX, WRIST_ROT_MAX, size=3),
         flexion=np.stack([
             rng.uniform(0.15, 1.10, size=5),
             rng.uniform(0.25, 1.30, size=5),
@@ -191,15 +182,13 @@ def _draw_hand(rng: np.random.Generator, spec: GraspSpec) -> HandPoseParams:
     )
 
 
-def _draw_box_vertices(rng: np.random.Generator, spec: GraspSpec,
-                       anchor: np.ndarray) -> np.ndarray:
-    lo, hi = spec.box_size_range
+def _draw_box_vertices(rng: np.random.Generator, anchor: np.ndarray) -> np.ndarray:
     while True:
-        dims = np.sort(rng.uniform(lo, hi, size=3))
-        if np.all(np.diff(dims) >= spec.min_box_dim_gap):
+        dims = np.sort(rng.uniform(*BOX_SIZE_RANGE, size=3))
+        if np.all(np.diff(dims) >= MIN_BOX_DIM_GAP):
             break
     rot = rotation_zyx(rng.uniform(0.0, np.pi, size=3))
-    center = anchor + rng.uniform(-spec.box_offset, spec.box_offset, size=3)
+    center = anchor + rng.uniform(-BOX_OFFSET, BOX_OFFSET, size=3)
     verts = np.zeros((8, 3))
     for i in range(8):
         signs = np.array([1.0 if i & (1 << a) else -1.0 for a in range(3)])
@@ -207,31 +196,27 @@ def _draw_box_vertices(rng: np.random.Generator, spec: GraspSpec,
     return verts
 
 
-def generate_sample(sample_id: int, rng: np.random.Generator,
-                    spec: GraspSpec = GraspSpec()) -> SampleRecord:
-    graph = default_graph()
-    tips = graph.tip_indices()
-    lo_px = spec.image_margin
-    hi_px = spec.image_size - spec.image_margin
-    for _ in range(spec.max_tries):
-        hand = forward_kinematics(_draw_hand(rng, spec))
-        corners = obb_from_points(_draw_box_vertices(rng, spec, hand[tips].mean(axis=0)))
+def generate_sample(sample_id: int, rng: np.random.Generator) -> SampleRecord:
+    tips = joint_type_indices("tip")
+    for _ in range(MAX_TRIES):
+        hand = forward_kinematics(_draw_hand(rng))
+        corners = obb_from_points(_draw_box_vertices(rng, hand[tips].mean(axis=0)))
         gt3d = np.vstack([hand, corners])
         z = gt3d[:, 2]
-        if z.min() < spec.depth_range[0] or z.max() > spec.depth_range[1]:
+        if z.min() < DEPTH_RANGE[0] or z.max() > DEPTH_RANGE[1]:
             continue
-        gt2d = project(gt3d, spec.camera)
-        if gt2d.min() < lo_px or gt2d.max() > hi_px:
+        gt2d = project(gt3d)
+        if gt2d.min() < IMAGE_MARGIN or gt2d.max() > IMAGE_SIZE - IMAGE_MARGIN:
             continue
-        return SampleRecord(id=sample_id, gt3d=gt3d, gt2d=gt2d, camera=spec.camera,
+        return SampleRecord(id=sample_id, gt3d=gt3d, gt2d=gt2d,
                             meta={"subject": "synth", "object": "box"})
     raise DomainError(
-        f"could not draw a sample within bounds after {spec.max_tries} tries; "
-        "the grasp spec ranges are too tight"
+        f"could not draw a sample within bounds after {MAX_TRIES} tries; "
+        "the grasp ranges are too tight"
     )
 
 
-def generate_dataset(n: int, seed: int, grasp_spec: GraspSpec = GraspSpec()) -> list[SampleRecord]:
+def generate_dataset(n: int, seed: int) -> list[SampleRecord]:
     """n randomized grasp samples, reproducible under seed.
 
     Each sample gets its own child RNG stream keyed by (seed, index), so
@@ -239,8 +224,7 @@ def generate_dataset(n: int, seed: int, grasp_spec: GraspSpec = GraspSpec()) -> 
     """
     if n < 1:
         raise DomainError(f"need at least one sample, got n={n}")
-    return [generate_sample(i, np.random.default_rng([seed, i]), grasp_spec)
-            for i in range(n)]
+    return [generate_sample(i, np.random.default_rng([seed, i])) for i in range(n)]
 
 
 # ---- file IO --------------------------------------------------------------
@@ -255,7 +239,7 @@ def save_dataset(path: str, records: list[SampleRecord]) -> None:
             row = {
                 "schema_version": SCHEMA_VERSION,
                 "id": int(r.id),
-                "camera": r.camera.to_dict(),
+                "camera": asdict(r.camera),
                 "meta": r.meta,
                 "gt3d": r.gt3d.tolist(),
                 "gt2d": r.gt2d.tolist(),

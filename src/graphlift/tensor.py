@@ -220,17 +220,13 @@ class Tensor:
     # ---- shape ops -----------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.data.shape
         return _record(self.data.reshape(shape), (self, lambda g: g.reshape(old)))
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def sum(self) -> "Tensor":
         shape = self.data.shape
-        expand = axis is not None and not keepdims
-        return _record(np.asarray(self.data.sum(axis=axis, keepdims=keepdims)),
-                       (self, lambda g: np.broadcast_to(
-                           np.expand_dims(g, axis) if expand else g, shape)))
+        return _record(np.asarray(self.data.sum()),
+                       (self, lambda g: np.broadcast_to(g, shape)))
 
     def sqrt(self) -> "Tensor":
         root = np.sqrt(self.data)

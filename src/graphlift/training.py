@@ -15,7 +15,7 @@ decay trajectory keeps its shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,11 +48,13 @@ class TrainConfig:
     optimizer: str = "adam"     # 'adam' | 'sgd'; mm^2-scale losses blow up plain
                                 # SGD at the stock 0.001 rate, so adam is the default
     noise_sigma: float = 10.0
-    weights: HopeLossWeights = field(default_factory=HopeLossWeights)
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "stage_epochs", tuple(int(e) for e in self.stage_epochs))
+        if self.preset not in PRESET_EPOCHS:
+            raise DomainError(f"unknown preset {self.preset!r}; expected one of "
+                              f"{sorted(PRESET_EPOCHS)}")
         if len(self.stage_epochs) != 3 or any(e < 0 for e in self.stage_epochs):
             raise DomainError(f"stage_epochs must be three non-negative ints, "
                               f"got {self.stage_epochs}")
@@ -63,14 +65,6 @@ class TrainConfig:
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise DomainError(f"noise_sigma must be finite and non-negative, "
                               f"got {self.noise_sigma}")
-
-    @classmethod
-    def from_preset(cls, preset: str, **overrides) -> "TrainConfig":
-        if preset not in PRESET_EPOCHS:
-            raise DomainError(f"unknown preset {preset!r}; expected one of "
-                              f"{sorted(PRESET_EPOCHS)}")
-        cfg = cls(stage_epochs=PRESET_EPOCHS[preset], preset=preset)
-        return replace(cfg, **overrides) if overrides else cfg
 
 
 def stage_schedule(stage: int, epochs: int, steps_per_epoch: int,
@@ -107,12 +101,9 @@ class TrainingLog:
             "loss_3d": loss_3d, "total": total,
         })
 
-    def stage_rows(self, stage: int) -> list[dict]:
-        return [r for r in self.rows if r["stage"] == stage]
-
     def totals(self, stage: int | None = None) -> np.ndarray:
-        rows = self.rows if stage is None else self.stage_rows(stage)
-        return np.array([r["total"] for r in rows], dtype=np.float64)
+        return np.array([r["total"] for r in self.rows
+                         if stage is None or r["stage"] == stage], dtype=np.float64)
 
     def write_csv(self, path: str) -> None:
         lines = [",".join(LOG_COLUMNS)]
@@ -222,7 +213,7 @@ def train(pipeline: HopePipeline, records: list[SampleRecord],
     steps_per_epoch = math.ceil(n / config.batch_size)
     literal = config.preset == "paper"
     log = TrainingLog()
-    w = config.weights
+    w = HopeLossWeights()
 
     def run(stage, params, loss_fn, stream):
         epochs = config.stage_epochs[stage - 1]

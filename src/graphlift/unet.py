@@ -28,14 +28,9 @@ from .layers import (AdaptiveGraphConvLayer, GPoolLayer, NodeMap, partition_matr
                      scatter_rows_batched, uniform_init)
 from .tensor import Tensor, concat_features
 
-__all__ = ["UNetConfig", "GraphUNetModel", "lift_input",
-           "POOLING_VARIANTS", "DEFAULT_UNET_PARAM_COUNT"]
+__all__ = ["UNetConfig", "GraphUNetModel", "lift_input", "POOLING_VARIANTS"]
 
 POOLING_VARIANTS = ("trainable", "gpool", "fixed")
-
-# Trainable parameter count of the default UNetConfig (verified by test): all
-# conv kernels A and weights W plus one pool/unpool matrix per level.
-DEFAULT_UNET_PARAM_COUNT = 434_755
 
 
 @dataclass(frozen=True)

@@ -59,11 +59,12 @@ def test_run_ablation_validation(records):
         run_one("pooling", "trainable", 0, records[:1], TINY)
     with pytest.raises(DomainError):
         AblationConfig(epochs=0)
-    with pytest.raises(DomainError):
-        AblationConfig(eval_fraction=1.0)
     for batch_size in (0, -4):
         with pytest.raises(DomainError):
             AblationConfig(batch_size=batch_size)
+    for widths in ((4, 8, 8), (4, 8, 0, 16)):
+        with pytest.raises(DomainError):
+            AblationConfig(unet_widths=widths)
 
 
 def test_summarize_excludes_diverged():

@@ -1,7 +1,9 @@
 """End-to-end command-line checks, run in process through main(argv)."""
 
 import filecmp
+import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -9,10 +11,11 @@ import warnings
 import numpy as np
 import pytest
 
+from graphlift import ablation
 from graphlift.checkpoint import load_checkpoint
 from graphlift.cli import main
-from graphlift.metrics import auc, curve_from_csv
-from graphlift.keypoints import default_graph
+from graphlift.metrics import PcpCurve, auc
+from graphlift.keypoints import NODE_NAMES
 from graphlift.models import FcBaselineModel, load_model, save_model
 from graphlift.synth import load_dataset
 from graphlift.training import LOG_COLUMNS
@@ -47,6 +50,12 @@ def read_csv(path):
     with open(path) as fh:
         header, *rows = [line.rstrip("\n").split(",") for line in fh]
     return header, rows
+
+
+def read_curve(path):
+    header, rows = read_csv(path)
+    assert header == ["threshold", "fraction"]
+    return PcpCurve(*np.array(rows, dtype=np.float64).T)
 
 
 # ---- gen ---------------------------------------------------------------------
@@ -182,12 +191,12 @@ def test_eval_report_files_and_auc_consistency(trained, dataset, tmp_path):
                             ("curve_3d.csv", "auc_3d"),
                             ("curve_3d_hand.csv", "auc_3d_hand"),
                             ("curve_3d_object.csv", "auc_3d_object")]:
-        curve = curve_from_csv(os.path.join(report, curve_name))
+        curve = read_curve(os.path.join(report, curve_name))
         assert abs(auc(curve) - summary[key]) <= 1e-9
 
     header, rows = read_csv(os.path.join(report, "per_joint.csv"))
     assert header == ["node", "name", "mean_error_mm"]
-    assert [r[1] for r in rows] == list(default_graph().node_names)
+    assert [r[1] for r in rows] == list(NODE_NAMES)
     per_node = np.array([float(r[2]) for r in rows])
     assert abs(per_node.mean() - summary["mean_error_3d_mm"]) < 1e-9
 
@@ -235,7 +244,7 @@ def test_eval_unet_checkpoint_reaches_full_pcp_at_huge_threshold(
                  "--report", report, "--threshold-limit", "1e7"]) == 0
     # 2D refinement metrics only exist for the full cascade
     assert not os.path.exists(os.path.join(report, "curve_2d.csv"))
-    curve = curve_from_csv(os.path.join(report, "curve_3d.csv"))
+    curve = read_curve(os.path.join(report, "curve_3d.csv"))
     assert curve.fractions[-1] == 1.0
 
 
@@ -260,6 +269,27 @@ def test_eval_missing_checkpoint_exits_2(dataset, tmp_path):
     rc = main(["eval", "--data", dataset, "--ckpt", str(tmp_path / "ghost"),
                "--report", str(tmp_path / "r")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("edit", ["renamed", "transposed"])
+def test_eval_checkpoint_that_does_not_fit_its_config_exits_2(
+        unet_ckpt, dataset, tmp_path, capsys, edit):
+    with open(unet_ckpt + ".json") as fh:
+        manifest = json.load(fh)
+    params = manifest["params"]
+    if edit == "renamed":
+        params["final.X"] = params.pop("final.W")
+    else:
+        assert params["final.W"]["shape"] == [4, 3]
+        params["final.W"]["shape"] = [3, 4]
+    base = str(tmp_path / "mismatch")
+    with open(base + ".json", "w") as fh:
+        json.dump(manifest, fh)
+    shutil.copyfile(unet_ckpt + ".bin", base + ".bin")
+    report = str(tmp_path / "report")
+    assert main(["eval", "--data", dataset, "--ckpt", base, "--report", report]) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not os.path.exists(report)
 
 
 # ---- ablate ------------------------------------------------------------------
@@ -299,7 +329,19 @@ def test_ablate_rejects_bad_arguments(dataset, tmp_path):
     assert main(common + ["--suite", "pooling", "--jobs", "0"]) == 1
     assert main(common + ["--suite", "pooling", "--batch-size", "0"]) == 1
     assert main(common + ["--suite", "pooling", "--batch-size", "-4"]) == 1
+    assert main(common + ["--suite", "pooling", "--widths", "4,x,8,16"]) == 1
     assert not os.path.exists(out)
+
+
+def test_ablate_rejects_wrong_width_count_before_any_cell(dataset, tmp_path, monkeypatch):
+    trained = []
+    monkeypatch.setattr(ablation, "train_unet_stage2",
+                        lambda *args, **kwargs: trained.append(args))
+    out = str(tmp_path / "r")
+    assert main(["ablate", "--suite", "architecture", "--data", dataset, "--out-dir", out,
+                 "--seeds", "0", "--epochs", "1", "--widths", "4,8,8"]) == 1
+    assert not os.path.exists(out)
+    assert trained == []
 
 
 @pytest.mark.parametrize("command", [

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from graphlift.errors import DimensionError, DomainError
+from graphlift.errors import DomainError
 from graphlift.keypoints import (
-    FINGER_NAMES, FIXED_POOL_GROUPS, JOINT_TYPES, NUM_HAND_NODES, NUM_NODES,
-    NUM_OBJECT_NODES, KeypointGraph, default_graph,
+    FINGER_NAMES, FIXED_POOL_GROUPS, HAND_INDICES, JOINT_TYPES, NODE_NAMES, NUM_HAND_NODES,
+    NUM_NODES, NUM_OBJECT_NODES, OBJECT_INDICES, finger_indices, joint_type_indices,
+    resolve_subset, skeleton_adjacency,
 )
 
 
@@ -17,33 +18,30 @@ def test_node_counts():
 
 
 def test_node_names_cover_hand_and_box():
-    g = default_graph()
-    assert len(g.node_names) == 29
-    assert g.node_names[0] == "wrist"
-    assert len(set(g.node_names)) == 29
+    assert len(NODE_NAMES) == 29
+    assert NODE_NAMES[0] == "wrist"
+    assert len(set(NODE_NAMES)) == 29
     # five fingers, four joints each, then eight corners
     for f in FINGER_NAMES:
         for jt in JOINT_TYPES:
-            assert any(f in n and jt in n for n in g.node_names[1:21])
-    assert sum("corner" in n for n in g.node_names) == 8
+            assert any(f in n and jt in n for n in NODE_NAMES[1:21])
+    assert sum("corner" in n for n in NODE_NAMES) == 8
 
 
 def test_finger_and_joint_indices():
-    g = default_graph()
-    np.testing.assert_array_equal(g.finger_indices("thumb"), [1, 2, 3, 4])
-    np.testing.assert_array_equal(g.finger_indices("little"), [17, 18, 19, 20])
-    np.testing.assert_array_equal(g.joint_type_indices("wrist"), [0])
-    np.testing.assert_array_equal(g.joint_type_indices("mcp"), [1, 5, 9, 13, 17])
-    np.testing.assert_array_equal(g.joint_type_indices("tip"), [4, 8, 12, 16, 20])
-    np.testing.assert_array_equal(g.tip_indices(), [4, 8, 12, 16, 20])
+    np.testing.assert_array_equal(finger_indices("thumb"), [1, 2, 3, 4])
+    np.testing.assert_array_equal(finger_indices("little"), [17, 18, 19, 20])
+    np.testing.assert_array_equal(joint_type_indices("wrist"), [0])
+    np.testing.assert_array_equal(joint_type_indices("mcp"), [1, 5, 9, 13, 17])
+    np.testing.assert_array_equal(joint_type_indices("tip"), [4, 8, 12, 16, 20])
     with pytest.raises(DomainError):
-        g.finger_indices("pinkie")
+        finger_indices("pinkie")
     with pytest.raises(DomainError):
-        g.joint_type_indices("palm")
+        joint_type_indices("palm")
 
 
 def test_skeleton_adjacency_structure():
-    a = default_graph().skeleton_adjacency
+    a = skeleton_adjacency()
     assert a.shape == (29, 29)
     np.testing.assert_array_equal(a, a.T)
     assert set(np.unique(a)) <= {0.0, 1.0}
@@ -74,15 +72,18 @@ def test_pool_group_chain_matches_node_schedule():
 
 
 def test_resolve_subset():
-    g = default_graph()
-    np.testing.assert_array_equal(g.resolve_subset("all"), np.arange(29))
-    np.testing.assert_array_equal(g.resolve_subset("hand"), np.arange(21))
-    np.testing.assert_array_equal(g.resolve_subset("object"), np.arange(21, 29))
+    np.testing.assert_array_equal(resolve_subset("all"), np.arange(29))
+    np.testing.assert_array_equal(resolve_subset("hand"), np.arange(21))
+    np.testing.assert_array_equal(resolve_subset("object"), np.arange(21, 29))
     for bad in ("feet", [3, 1]):
         with pytest.raises(DomainError):
-            g.resolve_subset(bad)
+            resolve_subset(bad)
 
 
-def test_graph_rejects_wrong_name_count():
-    with pytest.raises(DimensionError):
-        KeypointGraph(node_names=("a", "b"))
+def test_shared_index_arrays_reject_writes():
+    for shared in (HAND_INDICES, OBJECT_INDICES, resolve_subset("hand"),
+                   resolve_subset("object")):
+        with pytest.raises(ValueError):
+            shared[0] = 5
+    np.testing.assert_array_equal(HAND_INDICES, np.arange(21))
+    np.testing.assert_array_equal(OBJECT_INDICES, np.arange(21, 29))

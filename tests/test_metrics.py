@@ -1,12 +1,13 @@
 """PCP, AUC, and per-joint breakdowns against brute-force definitions."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from graphlift.errors import DimensionError, DomainError
-from graphlift.keypoints import default_graph
-from graphlift.metrics import (PcpCurve, auc, curve_from_csv, curve_to_csv,
-                               default_thresholds, pcp, pcp_curve,
+from graphlift.keypoints import HAND_INDICES, finger_indices, joint_type_indices, resolve_subset
+from graphlift.metrics import (PcpCurve, auc, curve_to_csv, default_thresholds, pcp_curve,
                                per_joint_errors)
 
 
@@ -23,6 +24,11 @@ def pcp_bruteforce(preds, gts, threshold, idx):
         dists = [np.linalg.norm(p[i] - g[i]) for i in idx]
         hits += (sum(dists) / len(dists)) < threshold
     return hits / len(preds)
+
+
+def pcp(preds, gts, threshold, subset="all"):
+    """The PCP curve's fraction at a single threshold."""
+    return float(pcp_curve(preds, gts, [threshold], subset).fractions[0])
 
 
 # ---- pcp ---------------------------------------------------------------------
@@ -50,10 +56,9 @@ def test_pcp_counts_samples():
 
 
 def test_pcp_subsets():
-    graph = default_graph()
     gts = np.zeros((1, 29, 3))
     preds = gts.copy()
-    preds[0, graph.hand_indices] += [10.0, 0.0, 0.0]
+    preds[0, HAND_INDICES] += [10.0, 0.0, 0.0]
     assert pcp(preds, gts, 5.0, subset="hand") == 0.0
     assert pcp(preds, gts, 5.0, subset="object") == 1.0
     # all-nodes mean is 10 * 21/29 ~ 7.24
@@ -65,7 +70,7 @@ def test_pcp_subsets():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_pcp_matches_bruteforce(subset, dim):
     preds, gts = random_pair(1, dim=dim)
-    idx = default_graph().resolve_subset(subset)
+    idx = resolve_subset(subset)
     for threshold in (5.0, 15.0, 30.0, 60.0):
         assert abs(pcp(preds, gts, threshold, subset)
                    - pcp_bruteforce(preds, gts, threshold, idx)) < 1e-9
@@ -74,9 +79,9 @@ def test_pcp_matches_bruteforce(subset, dim):
 def test_pcp_validation():
     preds, gts = random_pair(2, n=3)
     with pytest.raises(DomainError):
-        pcp(preds, gts, 0.0)
-    with pytest.raises(DomainError):
         pcp(preds, gts, np.inf)
+    with pytest.raises(DomainError):
+        pcp(preds, gts, 5.0, subset="feet")
     with pytest.raises(DimensionError):
         pcp(preds[:2], gts, 5.0)
     with pytest.raises(DimensionError):
@@ -87,7 +92,7 @@ def test_pcp_validation():
 
 def test_pcp_curve_monotone_and_saturating():
     preds, gts = random_pair(3)
-    curve = pcp_curve(preds, gts)
+    curve = pcp_curve(preds, gts, default_thresholds())
     assert np.all(np.diff(curve.fractions) >= 0.0)
     np.testing.assert_array_equal(curve.thresholds, default_thresholds())
     wide = pcp_curve(preds, gts, thresholds=[1.0, 1e9])
@@ -186,17 +191,16 @@ def test_per_joint_single_displacement():
 def test_per_joint_groups_average_by_hand():
     preds, gts = random_pair(7, n=12)
     report = per_joint_errors(preds, gts)
-    graph = default_graph()
     d = np.linalg.norm(preds - gts, axis=2)
     per_node = d.mean(axis=0)
     np.testing.assert_allclose(report["per_node"], per_node, atol=1e-12)
     for jt in ("mcp", "pip", "dip", "tip"):
         np.testing.assert_allclose(report["joint_types"][jt],
-                                   per_node[graph.joint_type_indices(jt)].mean(),
+                                   per_node[joint_type_indices(jt)].mean(),
                                    atol=1e-12)
     for f in ("thumb", "index", "middle", "ring", "little"):
         np.testing.assert_allclose(report["fingers"][f],
-                                   per_node[graph.finger_indices(f)].mean(),
+                                   per_node[finger_indices(f)].mean(),
                                    atol=1e-12)
     np.testing.assert_allclose(report["hand"], per_node[:21].mean(), atol=1e-12)
     np.testing.assert_allclose(report["object"], per_node[21:].mean(), atol=1e-12)
@@ -215,17 +219,13 @@ def test_per_joint_all_equals_global_mean():
 
 def test_curve_csv_round_trip(tmp_path):
     preds, gts = random_pair(9)
-    curve = pcp_curve(preds, gts)
+    curve = pcp_curve(preds, gts, default_thresholds())
     path = str(tmp_path / "curve.csv")
     curve_to_csv(curve, path)
-    back = curve_from_csv(path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["threshold", "fraction"]
+    back = PcpCurve(*np.array(rows, dtype=np.float64).T)
     np.testing.assert_array_equal(back.thresholds, curve.thresholds)
     np.testing.assert_array_equal(back.fractions, curve.fractions)
     np.testing.assert_allclose(auc(back), auc(curve), atol=0)
-
-
-def test_curve_csv_rejects_other_files(tmp_path):
-    path = tmp_path / "junk.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(DomainError):
-        curve_from_csv(str(path))

@@ -214,3 +214,18 @@ def test_load_malformed_config_rejected(tmp_path):
     save_checkpoint(base, {"w": Tensor(np.zeros(3))}, config)
     with pytest.raises(CheckpointFormatError):
         load_model(base)
+
+
+@pytest.mark.parametrize("edit", ["renamed", "transposed"])
+def test_load_parameters_that_do_not_fit_the_config_rejected(tmp_path, edit):
+    model = GraphUNetModel(SMALL_UNET, seed=3)
+    params = dict(model.parameters())
+    if edit == "renamed":
+        params["final.X"] = params.pop("final.W")
+    else:
+        assert params["final.W"].shape == (4, 3)
+        params["final.W"] = params["final.W"].data.reshape(3, 4)
+    base = str(tmp_path / "mismatch")
+    save_checkpoint(base, params, model.config_dict())
+    with pytest.raises(CheckpointFormatError, match="final"):
+        load_model(base)

@@ -104,12 +104,6 @@ def test_adam_missing_grad_and_bad_lr():
         opt.step(0.0)
 
 
-def test_adam_validates_betas():
-    p = Tensor([0.0], requires_grad=True, name="p")
-    with pytest.raises(DomainError):
-        Adam({"p": p}, beta1=1.0)
-
-
 # ---- the blocked in-place Adam update --------------------------------------
 
 

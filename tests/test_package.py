@@ -40,3 +40,41 @@ def test_every_imported_name_is_used():
     files += sorted(Path(__file__).parent.glob("*.py"))
     unused = [u for f in files for u in _unused_imports(f)]
     assert not unused, f"imported but never used: {unused}"
+
+
+def _names_used(tree: ast.AST, loads_only: bool = False) -> set[str]:
+    """Identifiers a module refers to: names, attributes and imported names.
+    With loads_only, only names read, so a module's own definitions and
+    assignments do not count as uses."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and (not loads_only or isinstance(node.ctx, ast.Load)):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and not loads_only:
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and not loads_only:
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    """An __all__ name is read inside its own module, by another module of
+    the package, or by the benchmark; an API only tests call is dead code."""
+    package = Path(graphlift.__file__).parent
+    bench = Path(__file__).parent.parent / "bench"
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(package.glob("*.py"))}
+    bench_used = set()
+    for p in sorted(bench.glob("*.py")):
+        bench_used |= _names_used(ast.parse(p.read_text(), filename=str(p)))
+    unused = []
+    for name in MODULES:
+        module = importlib.import_module(f"graphlift.{name}")
+        others = set(bench_used)
+        for other, tree in trees.items():
+            if other != name:
+                others |= _names_used(tree)
+        own = _names_used(trees[name], loads_only=True)
+        unused += [f"{name}.{n}" for n in getattr(module, "__all__", ())
+                   if n not in others and n not in own]
+    assert not unused, f"public names no module or benchmark uses: {unused}"

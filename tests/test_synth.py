@@ -1,6 +1,7 @@
 """Synthetic data: oriented boxes, projection, noise, generation, file IO."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from graphlift.errors import (DatasetFormatError, DegenerateGeometryError,
                               DimensionError, DomainError)
 from graphlift.hand import rotation_zyx
-from graphlift.synth import (Camera, GraspSpec, SampleRecord, add_noise,
-                             generate_dataset, load_dataset, obb_from_points,
+from graphlift.synth import (DEPTH_RANGE, IMAGE_MARGIN, IMAGE_SIZE, Camera, SampleRecord,
+                             add_noise, generate_dataset, load_dataset, obb_from_points,
                              project, records_to_arrays, save_dataset)
 
 
@@ -171,13 +172,12 @@ def test_generate_dataset_reproducible_and_prefix_stable():
 
 
 def test_generate_dataset_respects_bounds():
-    spec = GraspSpec()
     records = generate_dataset(40, seed=11)
     for r in records:
         z = r.gt3d[:, 2]
-        assert z.min() >= spec.depth_range[0] and z.max() <= spec.depth_range[1]
-        assert r.gt2d.min() >= spec.image_margin
-        assert r.gt2d.max() <= spec.image_size - spec.image_margin
+        assert z.min() >= DEPTH_RANGE[0] and z.max() <= DEPTH_RANGE[1]
+        assert r.gt2d.min() >= IMAGE_MARGIN
+        assert r.gt2d.max() <= IMAGE_SIZE - IMAGE_MARGIN
         np.testing.assert_allclose(r.gt2d, project(r.gt3d, r.camera), atol=1e-9)
 
 
@@ -239,7 +239,7 @@ def write_lines(tmp_path, *lines):
 
 def test_load_errors_carry_line_numbers(tmp_path):
     good = json.dumps({"schema_version": 1, "id": 0,
-                       "camera": Camera().to_dict(), "meta": {},
+                       "camera": asdict(Camera()), "meta": {},
                        "gt3d": [[0.0, 0.0, 500.0]] * 29,
                        "gt2d": [[0.0, 0.0]] * 29})
     path = write_lines(tmp_path, good, "{not json")

@@ -33,10 +33,10 @@ def records():
 def test_preset_epochs():
     assert PRESET_EPOCHS["desk"] == (30, 200, 30)
     assert PRESET_EPOCHS["paper"] == (5000, 10000, 5000)
-    assert TrainConfig.from_preset("paper").stage_epochs == (5000, 10000, 5000)
-    assert TrainConfig.from_preset("desk", batch_size=8).batch_size == 8
+    assert TrainConfig().stage_epochs == PRESET_EPOCHS["desk"]
+    assert TrainConfig(preset="paper").preset == "paper"
     with pytest.raises(DomainError):
-        TrainConfig.from_preset("gpu-cluster")
+        TrainConfig(preset="gpu-cluster")
 
 
 def test_train_config_validation():
@@ -88,8 +88,9 @@ def test_training_log_columns_and_blanks(tmp_path):
     assert rows[0] == list(LOG_COLUMNS)
     assert rows[1] == ["1", "1", "0.001", "2.0", "3.0", "", "0.5"]
     assert rows[2] == ["2", "2", "0.001", "", "", "7.25", "7.25"]
-    assert log.stage_rows(2)[0]["total"] == 7.25
     np.testing.assert_array_equal(log.totals(1), [0.5])
+    np.testing.assert_array_equal(log.totals(2), [7.25])
+    np.testing.assert_array_equal(log.totals(), [0.5, 7.25])
 
 
 # ---- stage-2 trainer --------------------------------------------------------
@@ -169,16 +170,16 @@ def test_train_writes_ordered_stages(records, tmp_path):
     log = train(pipe, records, TrainConfig(stage_epochs=(2, 2, 1), batch_size=16))
     log.write_csv(path)
     # 30 samples at batch 16: 2 steps per epoch
-    assert [len(log.stage_rows(s)) for s in (1, 2, 3)] == [4, 4, 2]
     stages = [r["stage"] for r in log.rows]
-    assert stages == sorted(stages)
+    assert stages == [1] * 4 + [2] * 4 + [3] * 2
     assert [r["step"] for r in log.rows] == list(range(1, 11))
-    for r in log.stage_rows(1):
-        assert r["loss_3d"] is None and r["loss_init2d"] is not None
-    for r in log.stage_rows(2):
-        assert r["loss_init2d"] is None
-    for r in log.stage_rows(3):
-        assert None not in (r["loss_init2d"], r["loss_2d"], r["loss_3d"])
+    for r in log.rows:
+        if r["stage"] == 1:
+            assert r["loss_3d"] is None and r["loss_init2d"] is not None
+        elif r["stage"] == 2:
+            assert r["loss_init2d"] is None
+        else:
+            assert None not in (r["loss_init2d"], r["loss_2d"], r["loss_3d"])
     with open(path) as f:
         header = f.readline().strip().split(",")
     assert header == list(LOG_COLUMNS)

@@ -10,9 +10,7 @@ from graphlift.checkpoint import load_state
 from graphlift.errors import DimensionError, DomainError
 from graphlift.gradcheck import grad_check
 from graphlift.tensor import mse
-from graphlift.unet import (
-    DEFAULT_UNET_PARAM_COUNT, GraphUNetModel, UNetConfig,
-)
+from graphlift.unet import GraphUNetModel, UNetConfig
 
 SMALL = UNetConfig(feature_schedule=(4, 8, 8, 16))
 
@@ -77,7 +75,7 @@ def test_forward_matches_straight_line_composition():
 
 def test_default_parameter_count():
     model = GraphUNetModel(UNetConfig(), seed=0)
-    assert model.num_parameters() == DEFAULT_UNET_PARAM_COUNT
+    assert model.num_parameters() == 434_755
     # independent arithmetic: convs carry A (n^2) and W (in x out),
     # each level adds a pool (n_out x n_in) and an unpool transpose shape
     ns, fs = (29, 15, 8, 4), (64, 128, 256, 512)
@@ -91,7 +89,7 @@ def test_default_parameter_count():
     for i in reversed(range(3)):
         count += ns[i] ** 2 + (fs[i] + fs[i + 1]) * fs[i]
     count += ns[0] ** 2 + fs[0] * 3
-    assert count == DEFAULT_UNET_PARAM_COUNT
+    assert count == 434_755
 
 
 def test_build_is_deterministic_per_seed():
