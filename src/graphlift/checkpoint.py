@@ -7,12 +7,16 @@ the parameter values as little-endian float64 in manifest order.
 
 Both directions hold at most one copy of the model.  Saving streams each
 parameter's own buffer into the blob.  Loading validates the whole
-manifest against the blob's size before it reads any parameter data,
-then reads each parameter into its own array.
+manifest against the blob's size before it reads any parameter data.
+load_checkpoint then reads each parameter into an array of its own;
+load_state builds the model the config describes, checks the names and
+shapes against it, and reads each parameter straight into that model's
+buffer.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -94,11 +98,10 @@ def _layout(entries: dict, blob_size: int) -> list[tuple[str, tuple, int]]:
     return layout
 
 
-def load_checkpoint(base: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Read base.json + base.bin; returns (name -> array, config).
-
-    Every array is a writable native float64 array of its own.
-    """
+@contextlib.contextmanager
+def _open(base: str):
+    """Read base.json and validate it against base.bin's size; yields
+    (config, [(name, shape, offset)] in manifest order, the open blob)."""
     try:
         with open(manifest_path(base), "r", encoding="utf-8") as f:
             manifest = json.load(f)
@@ -117,35 +120,57 @@ def load_checkpoint(base: str) -> tuple[dict[str, np.ndarray], dict]:
     if not isinstance(config, dict):
         raise CheckpointFormatError("checkpoint config must be a JSON object")
     try:
-        f = open(blob_path(base), "rb")
+        blob = open(blob_path(base), "rb")
     except FileNotFoundError:
         raise CheckpointFormatError(f"missing checkpoint blob {blob_path(base)}")
-    with f:
-        out: dict[str, np.ndarray] = {}
-        for name, shape, offset in _layout(entries, os.fstat(f.fileno()).st_size):
-            arr = np.empty(shape, dtype="<f8")
-            f.seek(offset)
-            if f.readinto(arr) != arr.nbytes:
-                raise CheckpointFormatError(f"param {name!r}: the blob ended early")
-            if not np.all(np.isfinite(arr)):
-                raise CheckpointFormatError(f"param {name!r} contains non-finite values")
-            out[name] = arr.astype(np.float64, copy=False)   # a copy only on big-endian hosts
-    return out, config
+    with blob:
+        yield config, _layout(entries, os.fstat(blob.fileno()).st_size), blob
 
 
-def load_state(model, arrays: Mapping[str, np.ndarray]) -> None:
-    """Copy arrays into model.parameters() in place, for any model kind.
+def _read_param(blob, name: str, offset: int, arr: np.ndarray) -> np.ndarray:
+    """Read parameter `name` into the native float64 C-contiguous `arr`,
+    checking that it is finite; returns arr."""
+    blob.seek(offset)
+    if blob.readinto(arr) != arr.nbytes:
+        raise CheckpointFormatError(f"param {name!r}: the blob ended early")
+    if not np.little_endian:
+        arr.byteswap(inplace=True)      # the blob is little-endian
+    if not np.all(np.isfinite(arr)):
+        raise CheckpointFormatError(f"param {name!r} contains non-finite values")
+    return arr
 
-    The names must match exactly and every shape must agree, or a
-    DimensionError is raised.
+
+def load_checkpoint(base: str) -> tuple[dict[str, np.ndarray], dict]:
+    """Read base.json + base.bin; returns (name -> array, config).
+
+    Every array is a writable native float64 array of its own.
     """
-    params = model.parameters()
-    missing = set(params) - set(arrays)
-    extra = set(arrays) - set(params)
-    if missing or extra:
-        raise DimensionError(f"parameter names mismatch: missing {sorted(missing)}, "
-                             f"unexpected {sorted(extra)}")
-    for k, p in params.items():
-        if arrays[k].shape != p.data.shape:
-            raise DimensionError(f"parameter {k} shape {arrays[k].shape} != {p.data.shape}")
-        p.data[...] = arrays[k]
+    with _open(base) as (config, layout, blob):
+        arrays = {name: _read_param(blob, name, offset, np.empty(shape))
+                  for name, shape, offset in layout}
+    return arrays, config
+
+
+def load_state(base: str, build):
+    """build(config) for the checkpoint's config, with base.bin read
+    straight into the parameters() of the model it returns.
+
+    The manifest is validated against the blob before build runs.  The
+    names must match the model's exactly and every shape must agree, or a
+    DimensionError is raised before any parameter data is read.
+    """
+    with _open(base) as (config, layout, blob):
+        model = build(config)
+        params = model.parameters()
+        shapes = {name: shape for name, shape, _ in layout}
+        missing = set(params) - set(shapes)
+        extra = set(shapes) - set(params)
+        if missing or extra:
+            raise DimensionError(f"parameter names mismatch: missing {sorted(missing)}, "
+                                 f"unexpected {sorted(extra)}")
+        for k, p in params.items():
+            if shapes[k] != p.data.shape:
+                raise DimensionError(f"parameter {k} shape {shapes[k]} != {p.data.shape}")
+        for name, _, offset in layout:
+            _read_param(blob, name, offset, params[name].data)
+    return model

@@ -1,8 +1,11 @@
-"""Graph layers: adaptive graph convolution, the node-axis map used for
-pooling and unpooling, and the gPool baseline.
+"""Graph layers: adaptive graph convolution (and its shared-input form
+for the refinement's first layer), the node-axis map used for pooling
+and unpooling, and the gPool baseline.
 
 All layers accept node-feature tensors shaped (n, k) or batched
-(B, n, k); the node axis is always second to last.  Pooling and
+(B, n, k); the node axis is always second to last.  The one exception,
+SharedInputGraphConv, takes a packed (B, shared + n·own) row per sample
+and returns (B, n, out) node features.  Pooling and
 unpooling are one layer, NodeMap: the product M @ X along the node axis
 with a trainable matrix (P or U) or a constant group-mean/broadcast
 matrix from partition_matrix.  gPool (Gao & Ji, Graph U-Nets) is a
@@ -20,7 +23,7 @@ from .errors import DimensionError, DomainError
 from .tensor import Tensor, _record, matmul, relu, sigmoid
 
 __all__ = [
-    "AdaptiveGraphConvLayer", "NodeMap", "GPoolLayer",
+    "AdaptiveGraphConvLayer", "SharedInputGraphConv", "NodeMap", "GPoolLayer",
     "partition_matrix", "uniform_init",
 ]
 
@@ -61,18 +64,66 @@ class AdaptiveGraphConvLayer:
         self.out_features = out_features
 
     def forward(self, x: Tensor) -> Tensor:
+        y = matmul(self.A, self._product(x))
+        if self.activation == "relu":
+            y = relu(y)
+        return y
+
+    def _product(self, x: Tensor) -> Tensor:
+        """X @ W for node features x."""
         _check_node_features(x, self.n, "graph conv")
         if x.shape[-1] != self.in_features:
             raise DimensionError(
                 f"graph conv expects {self.in_features} input features, got {x.shape[-1]}"
             )
-        y = matmul(self.A, matmul(x, self.W))
-        if self.activation == "relu":
-            y = relu(y)
-        return y
+        return matmul(x, self.W)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"A": self.A, "W": self.W}
+
+
+class SharedInputGraphConv(AdaptiveGraphConvLayer):
+    """act(A @ X @ W) where every node's row of X is one shared vector f
+    joined with that node's own values: X = [1·f, S].
+
+    forward takes the packed per-sample input x = [f ‖ s_1 … s_n], shaped
+    (B, shared + n·own), and computes X @ W = 1·(f @ W_f) + S @ W_s, where
+    W_f = W[:shared] and W_s = W[shared:], without building the
+    (B, n, shared + own) rows of X.  A and W, their initialization and
+    the rng draws are those of AdaptiveGraphConvLayer(adjacency_init,
+    shared + own, out_features, ...), so checkpoints of either load into
+    the other.
+    """
+
+    def __init__(self, adjacency_init: np.ndarray, shared: int, own: int,
+                 out_features: int, activation: str, rng: np.random.Generator):
+        super().__init__(adjacency_init, shared + own, out_features, activation, rng)
+        self.shared = shared
+
+    def _product(self, x: Tensor) -> Tensor:
+        f_w, n, k = self.shared, self.n, self.in_features - self.shared
+        if x.ndim != 2 or x.shape[1] != f_w + n * k:
+            raise DimensionError(f"shared-input graph conv expects (B, {f_w + n * k}) "
+                                 f"packed input, got shape {x.shape}")
+        b, o = x.shape[0], self.out_features
+        w = self.W.data
+        f = x.data[:, :f_w]                              # (B, shared)
+        s = x.data[:, f_w:].reshape(b * n, k)            # (B·n, own), a copy
+        y = (s @ w[f_w:]).reshape(b, n, o)
+        y += (f @ w[:f_w])[:, None, :]
+
+        def grad_x(g):                                   # [(Σ_n g) @ W_f.T ‖ g @ W_s.T]
+            out = np.empty(x.data.shape)
+            np.matmul(g.sum(axis=1), w[:f_w].T, out=out[:, :f_w])
+            np.matmul(g, w[f_w:].T, out=out[:, f_w:].reshape(b, n, k))
+            return out
+
+        def grad_w(g):                                   # [f.T @ Σ_n g ; S.T @ g]
+            out = np.empty(w.shape)
+            np.matmul(f.T, g.sum(axis=1), out=out[:f_w])
+            np.matmul(s.T, g.reshape(b * n, o), out=out[f_w:])
+            return out
+        return _record(y, (x, grad_x), (self.W, grad_w))
 
 
 class NodeMap:

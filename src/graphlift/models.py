@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adjacency import normalize_adjacency
-from .checkpoint import load_checkpoint, load_state, save_checkpoint
+from .checkpoint import load_state, save_checkpoint
 from .errors import CheckpointFormatError, DimensionError, DomainError
 from .keypoints import NUM_NODES, skeleton_adjacency
 from .layers import uniform_init
@@ -98,26 +98,28 @@ def save_model(base: str, model) -> None:
     save_checkpoint(base, model.parameters(), model.config_dict())
 
 
-def load_model(base: str):
-    """Rebuild a model of the checkpointed kind and load its parameters."""
-    arrays, config = load_checkpoint(base)
+def _build(config: dict):
+    """A freshly initialized model of the kind and config a checkpoint names."""
     kind = config.get("kind")
     try:
         seed = int(config.get("seed", 0))
         if kind == "unet":
-            model = GraphUNetModel(UNetConfig(**config["unet"]), seed=seed)
-        elif kind == "pipeline":
-            model = HopePipeline(PipelineConfig.from_dict(config["pipeline"]), seed=seed)
-        elif kind == "fc":
-            model = FcBaselineModel(tuple(config["fc"]["hidden"]), seed=seed)
-        elif kind == "gcn":
-            model = PlainGcnModel(tuple(config["gcn"]["hidden"]), seed=seed)
-        else:
-            raise CheckpointFormatError(f"checkpoint has unknown model kind {kind!r}")
+            return GraphUNetModel(UNetConfig(**config["unet"]), seed=seed)
+        if kind == "pipeline":
+            return HopePipeline(PipelineConfig.from_dict(config["pipeline"]), seed=seed)
+        if kind == "fc":
+            return FcBaselineModel(tuple(config["fc"]["hidden"]), seed=seed)
+        if kind == "gcn":
+            return PlainGcnModel(tuple(config["gcn"]["hidden"]), seed=seed)
     except (KeyError, TypeError, ValueError, DomainError) as e:
         raise CheckpointFormatError(f"checkpoint config is malformed: {e}")
+    raise CheckpointFormatError(f"checkpoint has unknown model kind {kind!r}")
+
+
+def load_model(base: str):
+    """Rebuild a model of the checkpointed kind and read its parameters
+    into it; the loaded values are never held beside a second copy."""
     try:
-        load_state(model, arrays)
+        return load_state(base, _build)
     except DimensionError as e:
         raise CheckpointFormatError(f"checkpoint parameters do not fit its config: {e}")
-    return model

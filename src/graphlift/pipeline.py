@@ -6,8 +6,10 @@ The stub rasterizes the sample's ground-truth 2D keypoints onto a 32x32
 occupancy grid and applies trainable linear maps: grid -> 2048 features
 -> 29x2 initial coordinates.  It keeps the cascade end-to-end trainable
 without any image data.  Refinement consumes 2050-wide node features:
-the 2048 image features broadcast to every node plus that node's initial
-2D estimate.
+the same 2048 image features at every node plus that node's initial 2D
+estimate.  Its first layer takes them packed per sample,
+[features ‖ s_1 … s_29] of width 2048 + 29·2, and never builds the
+(B, 29, 2050) rows (layers.SharedInputGraphConv).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .layers import AdaptiveGraphConvLayer, uniform_init
+from .layers import AdaptiveGraphConvLayer, SharedInputGraphConv, uniform_init
 from .keypoints import NUM_NODES
 from .tensor import Tensor, concat_features, matmul, mse
 from .unet import GraphUNetModel, UNetConfig
@@ -111,16 +113,22 @@ class StubFeatureProvider:
 
 class RefineNet:
     """Three adaptive graph conv layers over 2050-wide node features
-    (2048 broadcast image features + the 2D estimate), returning refined
-    2D coordinates.  First two layers ReLU, the last linear."""
+    (the 2048 image features shared by every node + that node's 2D
+    estimate), returning refined 2D coordinates.  First two layers ReLU,
+    the last linear.
+
+    The first layer is a SharedInputGraphConv: it receives each sample's
+    features and its 29 scaled estimates packed into one (B, 2048 + 58)
+    row and computes the node features' product with its W by parts.
+    Every layer's forward takes one Tensor, the previous layer's output.
+    """
 
     def __init__(self, config: PipelineConfig, rng: np.random.Generator):
         self.config = config
         w0, w1 = config.refine_widths
         eye = np.eye(NUM_NODES)
-        in_w = config.feature_width + 2
         self.layers = [
-            AdaptiveGraphConvLayer(eye, in_w, w0, "relu", rng),
+            SharedInputGraphConv(eye, config.feature_width, 2, w0, "relu", rng),
             AdaptiveGraphConvLayer(eye, w0, w1, "relu", rng),
             AdaptiveGraphConvLayer(eye, w1, 2, "linear", rng),
         ]
@@ -135,8 +143,7 @@ class RefineNet:
         if init2d.ndim != 3 or init2d.shape[1:] != (NUM_NODES, 2):
             raise DimensionError(f"expected (B, {NUM_NODES}, 2) estimates, got {init2d.shape}")
         scaled = (init2d - cfg.input_center) * (1.0 / cfg.input_scale)
-        h = concat_features([features.reshape(features.shape[0], 1, features.shape[-1]),
-                             scaled])
+        h = concat_features([features, scaled.reshape(init2d.shape[0], NUM_NODES * 2)])
         for layer in self.layers:
             h = layer.forward(h)
         return h * cfg.refine_output_scale

@@ -297,33 +297,24 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def concat_features(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the last (feature) axis, broadcasting the others.
+    """Concatenate along the last (feature) axis.
 
-    The leading axes of the operands broadcast against each other by numpy
-    rules, so a (B, 1, F) operand joins a (B, n, k) one as n copies of its
-    row without being repeated first: each operand is assigned straight
-    into one output array, and each operand's gradient slice is summed
-    back down to its own shape.  Zero-width operands are legal and
-    contribute nothing; they receive an empty gradient.
+    Every operand must have the same leading shape; nothing broadcasts.
+    Zero-width operands are legal and contribute nothing; they receive an
+    empty gradient.
     """
     ts = [Tensor._lift(t) for t in tensors]
     if not ts:
         raise DomainError("concat_features needs at least one tensor")
-    try:
-        lead = np.broadcast_shapes(*(t.data.shape[:-1] for t in ts))
-    except ValueError:
+    if len({t.data.shape[:-1] for t in ts}) > 1:
         raise DimensionError(
-            "concat_features operands' leading shapes do not broadcast: "
+            "concat_features operands' leading shapes differ: "
             + " vs ".join(str(t.data.shape) for t in ts)
-        ) from None
-    widths = [t.data.shape[-1] for t in ts]
-    offsets = np.cumsum([0] + widths)
-    out_data = np.empty(lead + (offsets[-1],))
-    edges = []
-    for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-        out_data[..., lo:hi] = t.data
-        edges.append((t, lambda g, lo=lo, hi=hi: g[..., lo:hi]))
-    return _record(out_data, *edges)
+        )
+    offsets = np.cumsum([0] + [t.data.shape[-1] for t in ts])
+    edges = [(t, lambda g, lo=lo, hi=hi: g[..., lo:hi])
+             for t, lo, hi in zip(ts, offsets[:-1], offsets[1:])]
+    return _record(np.concatenate([t.data for t in ts], axis=-1), *edges)
 
 
 def mse(pred: Tensor, target) -> Tensor:

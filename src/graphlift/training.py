@@ -281,7 +281,9 @@ def pipeline_predictions(pipeline: HopePipeline, records: list[SampleRecord],
                          chunk: int = 32) -> tuple[np.ndarray, np.ndarray]:
     """Batched full-cascade inference, recording no autodiff tape: refined
     2D (S, 29, 2) and 3D (S, 29, 3).  The default chunk is the training
-    batch size, so no refine input outgrows a training step's."""
+    batch size, so no intermediate outgrows a training step's; the
+    refinement's first layer reads each chunk packed, (chunk, 2048 + 58),
+    and never builds (chunk, 29, 2050) node rows."""
     gt2d, _ = records_to_arrays(records)
     refined_out, pred_out = [], []
     with no_grad():

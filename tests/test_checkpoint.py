@@ -13,6 +13,7 @@ import pytest
 from graphlift import checkpoint
 from graphlift.checkpoint import blob_path, load_checkpoint, manifest_path, save_checkpoint
 from graphlift.errors import CheckpointFormatError
+from graphlift.models import load_model
 from graphlift.tensor import Tensor
 
 
@@ -188,3 +189,14 @@ def test_load_holds_one_model_copy(desk_cascade, tmp_path):
         arr = arrays[k]
         assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.owndata
         np.testing.assert_array_equal(arr, p.data)
+
+
+def test_load_model_holds_one_model_copy(desk_cascade, tmp_path):
+    # The built model is the only copy: the blob is read into its buffers.
+    # It is built from seed 1, so only the read gives it seed 0's values.
+    base = str(tmp_path / "desk")
+    save_checkpoint(base, desk_cascade.parameters(), {**desk_cascade.config_dict(), "seed": 1})
+    model, peak = _traced_peak(lambda: load_model(base))
+    assert peak <= 1.1 * 3_768_664 * 8
+    for k, p in desk_cascade.parameters().items():
+        np.testing.assert_array_equal(model.parameters()[k].data, p.data)

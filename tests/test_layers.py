@@ -7,8 +7,8 @@ from graphlift.errors import DimensionError, DomainError
 from graphlift.gradcheck import grad_check
 from graphlift.keypoints import FIXED_POOL_GROUPS
 from graphlift.layers import (
-    AdaptiveGraphConvLayer, GPoolLayer, NodeMap, _gather_rows_batched,
-    partition_matrix, scatter_rows_batched, uniform_init,
+    AdaptiveGraphConvLayer, GPoolLayer, NodeMap, SharedInputGraphConv,
+    _gather_rows_batched, partition_matrix, scatter_rows_batched, uniform_init,
 )
 from graphlift.tensor import Tensor, mse
 
@@ -83,6 +83,65 @@ def test_agc_shape_validation():
         AdaptiveGraphConvLayer(np.zeros((2, 3)), 3, 2, "relu", rng)
     with pytest.raises(DomainError):
         AdaptiveGraphConvLayer(np.eye(2), 3, 2, "tanh", rng)
+
+
+# ---- shared-input graph convolution (the refinement's first layer) ---------
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("batch, shared, n, own, out, activation", [
+    (32, 2048, 29, 2, 512, "relu"),
+    (3, 5, 4, 2, 3, "linear"),
+], ids=["desk", "tiny"])
+def test_shared_input_conv_matches_concat_formula(batch, shared, n, own, out, activation):
+    rng = np.random.default_rng(14)
+    layer = SharedInputGraphConv(rng.normal(size=(n, n)), shared, own, out, activation, rng)
+    x_data = rng.normal(size=(batch, shared + n * own))
+    g = rng.normal(size=(batch, n, out))
+    x = Tensor(x_data, requires_grad=True)
+    (layer.forward(x) * Tensor(g)).sum().backward()
+    y = layer.forward(Tensor(x_data))
+
+    # the plain formula over the built rows X = [1·f, S]: act(A @ X @ W)
+    f, s = x_data[:, :shared], x_data[:, shared:].reshape(batch, n, own)
+    rows = np.concatenate([np.repeat(f[:, None, :], n, axis=1), s], axis=-1)
+    a, w = layer.A.data, layer.W.data
+    xw = rows @ w
+    pre = a @ xw
+    want = np.maximum(pre, 0.0) if activation == "relu" else pre
+    g_pre = np.where(pre > 0, g, 0.0) if activation == "relu" else g
+    g_xw = a.T @ g_pre
+    g_rows = g_xw @ w.T
+    want_gx = np.concatenate([g_rows[..., :shared].sum(axis=1),
+                              g_rows[..., shared:].reshape(batch, n * own)], axis=-1)
+    want_gw = rows.reshape(-1, shared + own).T @ g_xw.reshape(-1, out)
+    want_ga = (g_pre @ np.swapaxes(xw, -1, -2)).sum(axis=0)
+    assert y.shape == (batch, n, out)
+    assert _rel(y.data, want) <= 1e-12
+    assert _rel(x.grad, want_gx) <= 1e-12
+    assert _rel(layer.W.grad, want_gw) <= 1e-12
+    assert _rel(layer.A.grad, want_ga) <= 1e-12
+
+
+def test_shared_input_conv_has_the_plain_layers_parameters():
+    plain_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+    plain = AdaptiveGraphConvLayer(np.eye(29), 66, 8, "relu", plain_rng)
+    shared = SharedInputGraphConv(np.eye(29), 64, 2, 8, "relu", rng)
+    assert shared.in_features == 66
+    for k, p in plain.parameters().items():
+        np.testing.assert_array_equal(shared.parameters()[k].data, p.data)
+    assert rng.random() == plain_rng.random()     # the same draws were taken
+
+
+def test_shared_input_conv_shape_validation():
+    layer = SharedInputGraphConv(np.eye(4), 5, 2, 3, "relu", np.random.default_rng(0))
+    layer.forward(Tensor(np.zeros((2, 13))))
+    for shape in [(2, 12), (2, 4, 7), (13,)]:
+        with pytest.raises(DimensionError):
+            layer.forward(Tensor(np.zeros(shape)))
 
 
 # ---- trainable pool / unpool (NodeMap) --------------------------------------

@@ -6,13 +6,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from graphlift.checkpoint import load_state
+from graphlift.checkpoint import load_state, save_checkpoint
 from graphlift.errors import DimensionError, DomainError
 from graphlift.gradcheck import grad_check
 from graphlift.pipeline import (HopeLossWeights, HopePipeline, PipelineConfig,
                                 hope_loss_terms, rasterize_keypoints)
 from graphlift.synth import generate_dataset
-from graphlift.tensor import Tensor, concat_features, matmul, mse
+from graphlift.tensor import Tensor, mse
 from graphlift.unet import UNetConfig
 
 SMALL = PipelineConfig(unet=UNetConfig(feature_schedule=(4, 8, 8, 16)),
@@ -116,34 +116,35 @@ def test_refine_matches_composed_matrix_ops(records):
     np.testing.assert_allclose(out, h * SMALL.refine_output_scale, atol=1e-10)
 
 
-def test_refine_broadcast_features_match_ones_matmul(records):
-    # The node features once came from ones(29, 1) @ features; the broadcast
-    # must give the same forward bits and the same features gradient.
-    pipe = HopePipeline(SMALL, seed=4)
-    batch = np.stack([r.gt2d for r in records])
-    features, init2d = pipe.stub.encode_batch(batch)
-    out = pipe.refine.forward(features, init2d)
-    g = np.random.default_rng(5).normal(size=out.shape)
-    (out * Tensor(g)).sum().backward()
-    got_grad = pipe.stub.W1.grad
-
-    features, init2d = pipe.stub.encode_batch(batch)
-    per_node = matmul(Tensor(np.ones((29, 1))),
-                      features.reshape(len(batch), 1, SMALL.feature_width))
-    h = concat_features([per_node, (init2d - SMALL.input_center) * (1.0 / SMALL.input_scale)])
-    for layer in pipe.refine.layers:
-        h = layer.forward(h)
-    want = h * SMALL.refine_output_scale
-    np.testing.assert_array_equal(out.data, want.data)
-    (want * Tensor(g)).sum().backward()
-    want_grad = pipe.stub.W1.grad
-    assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+def test_each_refine_layer_is_a_pure_function_of_its_one_input(desk_cascade):
+    # A per-layer replay (the traced benchmark's) captures each layer's one
+    # input during RefineNet.forward and calls that layer alone on it.
+    refine = desk_cascade.refine
+    calls = []
+    for i, layer in enumerate(refine.layers):
+        def traced(*args, inner=layer.forward, i=i, **kwargs):
+            out = inner(*args, **kwargs)
+            calls.append((i, args, kwargs, out))
+            return out
+        layer.forward = traced          # an instance attribute, deleted below
+    gt2d = np.random.default_rng(15).uniform(0.0, 640.0, size=(32, 29, 2))
+    try:
+        refine.forward(*desk_cascade.stub.encode_batch(gt2d))
+    finally:
+        for layer in refine.layers:
+            del layer.forward
+    assert [i for i, *_ in calls] == [0, 1, 2]
+    for i, args, kwargs, out in calls:
+        assert not kwargs and len(args) == 1 and isinstance(args[0], Tensor)
+        again = refine.layers[i].forward(Tensor(args[0].data.copy(), requires_grad=True))
+        assert again.data.tobytes() == out.data.tobytes()
+    assert calls[0][1][0].shape == (32, 2048 + 29 * 2)
 
 
 def test_stage1_step_allocation_peak():
     # Desk widths at batch 8.  Zero-filled gradient buffers for every tape
-    # node, or a (B, 29, 2048) copy of the features before the concat,
-    # each push the peak past the bound.
+    # node, or a (B, 29, 2048) copy of the features, each push the peak
+    # past the bound.
     pipe = HopePipeline(seed=0)
     gt2d = np.random.default_rng(6).uniform(0.0, 640.0, size=(8, 29, 2))
     w = HopeLossWeights()
@@ -280,17 +281,18 @@ def test_pipeline_gradients_match_finite_differences(records):
     assert report.max_rel_err < 1e-4
 
 
-def test_pipeline_state_round_trip():
+def test_pipeline_state_round_trip(tmp_path):
     pipe = HopePipeline(SMALL, seed=11)
-    state = {k: v.data.copy() for k, v in pipe.parameters().items()}
-    other = HopePipeline(SMALL, seed=12)
-    load_state(other, state)
+    base = str(tmp_path / "pipe")
+    save_checkpoint(base, pipe.parameters(), pipe.config_dict())
+    other = load_state(base, lambda config: HopePipeline(SMALL, seed=12))
     for k, v in other.parameters().items():
-        np.testing.assert_array_equal(v.data, state[k])
+        np.testing.assert_array_equal(v.data, pipe.parameters()[k].data)
+    bad = dict(pipe.parameters())
+    del bad["stub.W1"]
+    save_checkpoint(base, bad, pipe.config_dict())
     with pytest.raises(DimensionError):
-        bad = dict(state)
-        del bad["stub.W1"]
-        load_state(other, bad)
+        load_state(base, lambda config: HopePipeline(SMALL, seed=12))
     assert PipelineConfig.from_dict(asdict(SMALL)) == SMALL
 
 

@@ -143,34 +143,9 @@ def test_concat_gradient_splits():
 def test_concat_leading_shape_mismatch():
     with pytest.raises(DimensionError):
         concat_features([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))])
-
-
-@pytest.mark.parametrize("shapes", [
-    [(3, 1, 5), (3, 4, 2)],
-    [(5,), (2, 4, 3)],
-    [(1, 4, 2), (3, 1, 1), (3, 4, 0)],
-])
-def test_concat_broadcast_matches_explicit_broadcast(shapes):
-    rng = np.random.default_rng(12)
-    ts = [Tensor(rng.normal(size=s)) for s in shapes]
-    lead = np.broadcast_shapes(*(s[:-1] for s in shapes))
-    want = np.concatenate([np.broadcast_to(t.data, lead + t.shape[-1:]) for t in ts],
-                          axis=-1)
-    np.testing.assert_array_equal(concat_features(ts).data, want)
-
-
-def test_concat_broadcast_gradient_matches_ones_matmul():
-    # RefineNet's shape: one feature row per sample joins every node's row.
-    rng = np.random.default_rng(13)
-    b, n, f = 4, 29, 64
-    feats = Tensor(rng.normal(size=(b, 1, f)), requires_grad=True)
-    nodes = Tensor(rng.normal(size=(b, n, 2)), requires_grad=True)
-    g = rng.normal(size=(b, n, f + 2))
-    (concat_features([feats, nodes]) * Tensor(g)).sum().backward()
-    # the formula of ones(n, 1) @ feats, the copy the broadcast replaces
-    want = _unbroadcast(np.ones((1, n)) @ g[..., :f], feats.shape)
-    assert _rel_err(feats.grad, want) <= 1e-12
-    np.testing.assert_array_equal(nodes.grad, g[..., f:])
+    # leading shapes that would broadcast are still a mismatch
+    with pytest.raises(DimensionError):
+        concat_features([Tensor(np.zeros((4, 1, 64))), Tensor(np.zeros((4, 29, 2)))])
 
 
 def test_mse_value():

@@ -306,4 +306,4 @@ def test_pipeline_predictions_peak_is_one_training_batch(desk_cascade, samples25
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32e6
+    assert peak <= 16e6

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from graphlift.checkpoint import load_state
+from graphlift.checkpoint import load_state, save_checkpoint
 from graphlift.errors import DimensionError, DomainError
 from graphlift.gradcheck import grad_check
 from graphlift.tensor import mse
@@ -183,17 +183,20 @@ def test_forward_shape_validation():
         model.forward(np.zeros((29, 2)))
 
 
-def test_load_state_validation():
+def test_load_state_validation(tmp_path):
     model = GraphUNetModel(SMALL, seed=0)
+    base = str(tmp_path / "unet")
     good = {k: v.data.copy() for k, v in model.parameters().items()}
-    other = GraphUNetModel(SMALL, seed=1)
-    load_state(other, good)
+    save_checkpoint(base, good)
+    other = load_state(base, lambda config: GraphUNetModel(SMALL, seed=1))
     np.testing.assert_array_equal(other.final.W.data, model.final.W.data)
     bad = dict(good)
     bad.pop("final.W")
+    save_checkpoint(base, bad)
     with pytest.raises(DimensionError):
-        load_state(model, bad)
+        load_state(base, lambda config: model)
     bad = dict(good)
     bad["final.W"] = np.zeros((2, 2))
+    save_checkpoint(base, bad)
     with pytest.raises(DimensionError):
-        load_state(model, bad)
+        load_state(base, lambda config: model)
