@@ -45,7 +45,6 @@ DEFAULT_SEEDS = (0, 1, 2)
 # Every variant trains with Adam on noiseless inputs and holds out the
 # last fifth of the records for evaluation.
 NOISE_SIGMA = 0.0
-OPTIMIZER = "adam"
 EVAL_FRACTION = 0.2
 
 
@@ -116,7 +115,7 @@ def run_one(suite: str, variant: str, seed: int, records: list[SampleRecord],
     status = "ok"
     try:
         train_unet_stage2(model, train_recs, config.epochs, config.batch_size,
-                          NOISE_SIGMA, OPTIMIZER, seed=seed)
+                          NOISE_SIGMA, seed=seed)
         final = eval_unet_mean_error(model, eval_recs, NOISE_SIGMA, seed)
         if not math.isfinite(final):
             status, final = "diverged", math.inf
@@ -132,7 +131,7 @@ def run_ablation(suite: str, records: list[SampleRecord],
                  jobs: int = 1) -> list[AblationRun]:
     """All (variant, seed) runs for one suite, deterministic per cell.
 
-    jobs > 1 trains the independent cells in separate processes.
+    jobs > 1 trains the cells in separate processes, at most one per cell.
     """
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
@@ -142,7 +141,7 @@ def run_ablation(suite: str, records: list[SampleRecord],
     tasks = [(suite, variant, seed, records, config)
              for variant in SUITES[suite] for seed in seeds]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(run_one, *zip(*tasks)))
     return [run_one(*t) for t in tasks]
 

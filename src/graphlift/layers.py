@@ -24,7 +24,7 @@ from .tensor import Tensor, _record, matmul, relu, sigmoid
 
 __all__ = [
     "AdaptiveGraphConvLayer", "SharedInputGraphConv", "NodeMap", "GPoolLayer",
-    "partition_matrix", "uniform_init",
+    "partition_matrix", "prefixed", "uniform_init",
 ]
 
 
@@ -34,6 +34,13 @@ def uniform_init(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndar
         raise DomainError(f"fan_in must be positive, got {fan_in}")
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
+
+
+def prefixed(parts) -> dict[str, Tensor]:
+    """The parameters of each (prefix, module) pair in turn, each named
+    "prefix.name"; the one builder of every composite model's names."""
+    return {f"{prefix}.{k}": v for prefix, module in parts
+            for k, v in module.parameters().items()}
 
 
 def _check_node_features(x: Tensor, n: int, what: str) -> None:

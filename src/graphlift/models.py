@@ -31,9 +31,6 @@ class _LiftModelBase:
     input_scale = 160.0
     output_scale = 250.0
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters().values())
-
 
 class FcBaselineModel(_LiftModelBase):
     """Dense 3-layer lift over the flattened coordinate vector."""

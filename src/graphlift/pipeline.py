@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .layers import AdaptiveGraphConvLayer, SharedInputGraphConv, uniform_init
+from .layers import AdaptiveGraphConvLayer, SharedInputGraphConv, prefixed, uniform_init
 from .keypoints import NUM_NODES
 from .tensor import Tensor, concat_features, matmul, mse
 from .unet import GraphUNetModel, UNetConfig
@@ -149,11 +149,7 @@ class RefineNet:
         return h * cfg.refine_output_scale
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for k, v in layer.parameters().items():
-                out[f"conv{i}.{k}"] = v
-        return out
+        return prefixed((f"conv{i}", layer) for i, layer in enumerate(self.layers))
 
 
 class HopePipeline:
@@ -175,14 +171,10 @@ class HopePipeline:
         return init2d, refined, pred3d
 
     def stub_refine_parameters(self) -> dict[str, Tensor]:
-        out = {f"stub.{k}": v for k, v in self.stub.parameters().items()}
-        out.update({f"refine.{k}": v for k, v in self.refine.parameters().items()})
-        return out
+        return prefixed((("stub", self.stub), ("refine", self.refine)))
 
     def parameters(self) -> dict[str, Tensor]:
-        out = self.stub_refine_parameters()
-        out.update({f"unet.{k}": v for k, v in self.unet.parameters().items()})
-        return out
+        return prefixed((("stub", self.stub), ("refine", self.refine), ("unet", self.unet)))
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters().values())

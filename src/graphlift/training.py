@@ -88,29 +88,25 @@ def stage_schedule(stage: int, epochs: int, steps_per_epoch: int,
 
 
 class TrainingLog:
-    """Per-step rows; stages leave their inapplicable loss columns blank."""
+    """Per-step tuples in LOG_COLUMNS order; inapplicable loss columns are None."""
 
     def __init__(self):
-        self.rows: list[dict] = []
+        self.rows: list[tuple] = []
 
     def add(self, step: int, stage: int, lr: float, loss_init2d=None,
             loss_2d=None, loss_3d=None, total=None) -> None:
-        self.rows.append({
-            "step": step, "stage": stage, "lr": lr,
-            "loss_init2d": loss_init2d, "loss_2d": loss_2d,
-            "loss_3d": loss_3d, "total": total,
-        })
+        self.rows.append((step, stage, lr, loss_init2d, loss_2d, loss_3d, total))
 
     def totals(self, stage: int | None = None) -> np.ndarray:
-        return np.array([r["total"] for r in self.rows
-                         if stage is None or r["stage"] == stage], dtype=np.float64)
+        return np.array([r[-1] for r in self.rows if stage is None or r[1] == stage],
+                        dtype=np.float64)
 
     def write_csv(self, path: str) -> None:
         lines = [",".join(LOG_COLUMNS)]
         for r in self.rows:
             lines.append(",".join(
                 "" if v is None else (repr(v) if isinstance(v, float) else str(v))
-                for v in (r[c] for c in LOG_COLUMNS)))
+                for v in r))
         rewrite_in_place(path, "\n".join(lines) + "\n")
 
 
@@ -120,10 +116,11 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[lo:lo + batch_size]
 
 
-def _run_stage(log: TrainingLog, stage: int, step: int, params, optimizer: str,
-               loss_fn, n: int, epochs: int, batch_size: int,
-               rng: np.random.Generator, schedule: SgdSchedule, on_step=None) -> None:
-    """The one optimizer loop every stage runs, numbering steps from step + 1.
+def _run_stage(log: TrainingLog, stage: int, params, optimizer: str, loss_fn,
+               n: int, epochs: int, batch_size: int, rng: np.random.Generator,
+               literal_steps: bool, on_step=None) -> None:
+    """The one optimizer loop every stage runs, on the stage's schedule;
+    it numbers its steps on from the rows already in the log.
 
     loss_fn(idx) gives the scalar loss of a batch of sample indices plus
     the log columns it fills ({column: scalar Tensor}).  The finite check
@@ -134,9 +131,9 @@ def _run_stage(log: TrainingLog, stage: int, step: int, params, optimizer: str,
     on_step(step, params) runs right after each backward pass, before
     the optimizer update.
     """
-    if optimizer not in ("adam", "sgd"):
-        raise DomainError(f"unknown optimizer {optimizer!r}")
     opt = Adam(params) if optimizer == "adam" else SGD(params)
+    schedule = stage_schedule(stage, epochs, math.ceil(n / batch_size), literal_steps)
+    step = len(log.rows)
     t = 0
     for _ in range(epochs):
         for idx in _batches(n, batch_size, rng):
@@ -176,10 +173,8 @@ def _stage2_loss(model, gt2d: np.ndarray, gt3d: np.ndarray, noise_sigma: float,
 
 def train_unet_stage2(model, records: list[SampleRecord], epochs: int,
                       batch_size: int = 32, noise_sigma: float = 10.0,
-                      optimizer: str = "adam", seed: int = 0,
-                      schedule: SgdSchedule | None = None,
-                      on_step=None) -> TrainingLog:
-    """Train a 2D->3D node model on (noisy gt2d -> gt3d) pairs.
+                      seed: int = 0, on_step=None) -> TrainingLog:
+    """Train a 2D->3D node model with Adam on (noisy gt2d -> gt3d) pairs.
 
     Works for any model exposing forward(x)->Tensor over (B, 29, 2)
     inputs and parameters().  on_step(step, params) runs right after each
@@ -187,14 +182,13 @@ def train_unet_stage2(model, records: list[SampleRecord], epochs: int,
     """
     if not records:
         raise DomainError("empty dataset")
+    if batch_size < 1 or epochs < 0:
+        raise DomainError(f"need batch_size >= 1 and epochs >= 0, got {batch_size}, {epochs}")
     gt2d, gt3d = records_to_arrays(records)
-    n = gt2d.shape[0]
-    if schedule is None:
-        schedule = stage_schedule(2, epochs, math.ceil(n / batch_size))
     log = TrainingLog()
-    _run_stage(log, 2, 0, model.parameters(), optimizer,
-               _stage2_loss(model, gt2d, gt3d, noise_sigma, seed), n, epochs,
-               batch_size, np.random.default_rng([seed, 1]), schedule, on_step)
+    loss_fn = _stage2_loss(model, gt2d, gt3d, noise_sigma, seed)
+    _run_stage(log, 2, model.parameters(), "adam", loss_fn, len(gt2d), epochs, batch_size,
+               np.random.default_rng([seed, 1]), False, on_step)
     return log
 
 
@@ -210,19 +204,15 @@ def train(pipeline: HopePipeline, records: list[SampleRecord],
         raise DomainError("empty dataset")
     gt2d, gt3d = records_to_arrays(records)
     n = gt2d.shape[0]
-    steps_per_epoch = math.ceil(n / config.batch_size)
-    literal = config.preset == "paper"
     log = TrainingLog()
     w = HopeLossWeights()
 
     def run(stage, params, loss_fn, stream):
         epochs = config.stage_epochs[stage - 1]
         if epochs > 0:
-            # one log row per step, so the step count so far is len(log.rows)
-            _run_stage(log, stage, len(log.rows), params, config.optimizer, loss_fn,
-                       n, epochs, config.batch_size,
-                       np.random.default_rng([config.seed, stream]),
-                       stage_schedule(stage, epochs, steps_per_epoch, literal))
+            _run_stage(log, stage, params, config.optimizer, loss_fn, n, epochs,
+                       config.batch_size, np.random.default_rng([config.seed, stream]),
+                       config.preset == "paper")
 
     # stage 1: stub + 2D refinement on the 2D losses
     def stage1_loss(idx):
@@ -252,14 +242,20 @@ def train(pipeline: HopePipeline, records: list[SampleRecord],
 # ---- evaluation helpers ----------------------------------------------------
 
 
+def _chunked(forward, inputs: np.ndarray, chunk: int) -> tuple:
+    """forward over chunk-row slices of inputs, recording no autodiff tape:
+    each of the Tensors it returns, concatenated over the chunks."""
+    outs = []
+    with no_grad():
+        for lo in range(0, inputs.shape[0], chunk):
+            outs.append([t.data for t in forward(inputs[lo:lo + chunk])])
+    return tuple(np.concatenate(parts, axis=0) for parts in zip(*outs))
+
+
 def unet_predictions(model, inputs2d: np.ndarray, chunk: int = 128) -> np.ndarray:
     """Forward a (S, 29, 2) array through a 2D->3D model, one chunk at a
     time, recording no autodiff tape."""
-    outs = []
-    with no_grad():
-        for lo in range(0, inputs2d.shape[0], chunk):
-            outs.append(model.forward(inputs2d[lo:lo + chunk]).data)
-    return np.concatenate(outs, axis=0)
+    return _chunked(lambda x: (model.forward(x),), inputs2d, chunk)[0]
 
 
 def mean_keypoint_error(preds: np.ndarray, gts: np.ndarray) -> float:
@@ -270,11 +266,11 @@ def mean_keypoint_error(preds: np.ndarray, gts: np.ndarray) -> float:
 
 
 def eval_unet_mean_error(model, records: list[SampleRecord], noise_sigma: float = 0.0,
-                         seed: int = 0, chunk: int = 128) -> float:
+                         seed: int = 0) -> float:
     """Mean 3D keypoint error (mm) of a 2D->3D model on noisy 2D inputs."""
     gt2d, gt3d = records_to_arrays(records)
     inputs = add_noise(gt2d, noise_sigma, np.random.default_rng([seed, 3]))
-    return mean_keypoint_error(unet_predictions(model, inputs, chunk), gt3d)
+    return mean_keypoint_error(unet_predictions(model, inputs), gt3d)
 
 
 def pipeline_predictions(pipeline: HopePipeline, records: list[SampleRecord],
@@ -284,11 +280,5 @@ def pipeline_predictions(pipeline: HopePipeline, records: list[SampleRecord],
     batch size, so no intermediate outgrows a training step's; the
     refinement's first layer reads each chunk packed, (chunk, 2048 + 58),
     and never builds (chunk, 29, 2050) node rows."""
-    gt2d, _ = records_to_arrays(records)
-    refined_out, pred_out = [], []
-    with no_grad():
-        for lo in range(0, gt2d.shape[0], chunk):
-            _, refined, pred3d = pipeline.forward_batch(gt2d[lo:lo + chunk])
-            refined_out.append(refined.data)
-            pred_out.append(pred3d.data)
-    return np.concatenate(refined_out, axis=0), np.concatenate(pred_out, axis=0)
+    gt2d = records_to_arrays(records)[0]      # drop gt3d before the forward passes
+    return _chunked(lambda x: pipeline.forward_batch(x)[1:], gt2d, chunk)

@@ -25,7 +25,7 @@ from .adjacency import ADJACENCY_INIT_VARIANTS, initial_adjacency
 from .errors import DimensionError, DomainError
 from .keypoints import FIXED_POOL_GROUPS, NUM_NODES
 from .layers import (AdaptiveGraphConvLayer, GPoolLayer, NodeMap, partition_matrix,
-                     scatter_rows_batched, uniform_init)
+                     prefixed, scatter_rows_batched, uniform_init)
 from .tensor import Tensor, concat_features
 
 __all__ = ["UNetConfig", "GraphUNetModel", "lift_input", "POOLING_VARIANTS"]
@@ -159,28 +159,16 @@ class GraphUNetModel:
         return self.final.forward(h) * cfg.output_scale
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, layer in enumerate(self.enc_convs):
-            for k, v in layer.parameters().items():
-                out[f"enc{i}.{k}"] = v
-            for k, v in self.pools[i].parameters().items():
-                out[f"pool{i}.{k}"] = v
-        for k, v in self.bottleneck.parameters().items():
-            out[f"bottleneck.{k}"] = v
-        levels = len(self.config.node_schedule) - 1
-        for j, (up, conv) in enumerate(zip(self.unpools, self.dec_convs)):
-            lvl = levels - 1 - j
+        parts = []
+        for i, (conv, pool) in enumerate(zip(self.enc_convs, self.pools)):
+            parts += [(f"enc{i}", conv), (f"pool{i}", pool)]
+        parts.append(("bottleneck", self.bottleneck))
+        # the decoder runs from the deepest level up; gPool has no unpool layers
+        for lvl, up, conv in zip(reversed(range(len(self.pools))), self.unpools, self.dec_convs):
             if up is not None:
-                for k, v in up.parameters().items():
-                    out[f"unpool{lvl}.{k}"] = v
-            for k, v in conv.parameters().items():
-                out[f"dec{lvl}.{k}"] = v
-        for k, v in self.final.parameters().items():
-            out[f"final.{k}"] = v
-        return out
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters().values())
+                parts.append((f"unpool{lvl}", up))
+            parts.append((f"dec{lvl}", conv))
+        return prefixed(parts + [("final", self.final)])
 
     def config_dict(self) -> dict:
         return {"kind": "unet", "seed": self.seed, "unet": asdict(self.config)}

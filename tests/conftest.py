@@ -27,8 +27,7 @@ def stage2_unet(dataset500):
     """
     model = GraphUNetModel(UNetConfig(), seed=0)
     train_unet_stage2(model, dataset500, epochs=PRESET_EPOCHS["desk"][1],
-                      batch_size=32, noise_sigma=10.0, optimizer="adam",
-                      seed=0)
+                      batch_size=32, noise_sigma=10.0, seed=0)
     return model
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from graphlift import ablation
 from graphlift.ablation import (AblationConfig, AblationRun, SUITES, run_ablation,
                                 run_one, summarize, write_runs_csv,
                                 write_summary_csv)
@@ -48,6 +49,31 @@ def test_run_ablation_parallel_matches_serial(records):
     serial = run_ablation("pooling", records, seeds=(0,), config=TINY, jobs=1)
     parallel = run_ablation("pooling", records, seeds=(0,), config=TINY, jobs=2)
     assert serial == parallel
+
+
+def test_run_ablation_starts_at_most_one_worker_per_cell(records, monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers and maps
+        in this process, so no worker starts."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(ablation, "ProcessPoolExecutor", SerialPool)
+    runs = run_ablation("pooling", records, seeds=(0,), config=TINY, jobs=4)
+    assert started == [3]
+    assert [r.variant for r in runs] == list(SUITES["pooling"])
 
 
 def test_run_ablation_validation(records):

@@ -127,7 +127,7 @@ def test_criterion_4_pooling_trainability(dataset500):
                     if name.endswith((".P", ".U")) and not np.any(p.grad != 0.0):
                         zero_grad_steps.append((seed, step, name))
         train_unet_stage2(model, train_recs, epochs=epochs, batch_size=64,
-                          noise_sigma=sigma, optimizer="adam", seed=seed,
+                          noise_sigma=sigma, seed=seed,
                           on_step=on_step)
         return float(np.mean([eval_unet_mean_error(model, eval_recs, sigma,
                                                    seed=100 + j)

@@ -30,7 +30,7 @@ def test_fc_shapes_and_param_count():
     assert model.forward(rand_input()).shape == (1, 29, 3)
     assert model.forward(rand_input(batch=5)).shape == (5, 29, 3)
     # dense stack over the 87-long flattened input (29 x 3 with ones column)
-    assert model.num_parameters() == 87 * 256 + 256 * 256 + 256 * 87
+    assert sum(p.size for p in model.parameters().values()) == 87 * 256 + 256 * 256 + 256 * 87
 
 
 def test_fc_three_dense_layers():
@@ -59,7 +59,7 @@ def test_gcn_shapes_and_fixed_graph():
     assert model.forward(rand_input()).shape == (1, 29, 3)
     assert model.forward(rand_input(batch=4)).shape == (4, 29, 3)
     assert sorted(model.parameters()) == ["conv0.W", "conv1.W", "conv2.W"]
-    assert model.num_parameters() == 3 * 128 + 128 * 128 + 128 * 3
+    assert sum(p.size for p in model.parameters().values()) == 3 * 128 + 128 * 128 + 128 * 3
     # the graph itself is not a parameter and does not train
     assert not model.adjacency.requires_grad
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from graphlift.errors import DomainError, TrainingDiverged
-from graphlift.optim import SgdSchedule
 from graphlift.pipeline import HopePipeline, PipelineConfig, hope_loss_terms
 from graphlift.synth import generate_dataset
 from graphlift.training import (LOG_COLUMNS, PRESET_EPOCHS, TrainConfig,
@@ -104,10 +103,10 @@ def test_stage2_improves_and_logs(records):
     after = eval_unet_mean_error(model, records, noise_sigma=0.0)
     assert after < before
     assert len(log.rows) == 10 * 4          # ceil(30/8) steps per epoch
-    for row in log.rows:
-        assert row["stage"] == 2
-        assert row["total"] == row["loss_3d"]
-        assert np.isfinite(row["total"])
+    for _, stage, _, _, _, loss_3d, total in log.rows:
+        assert stage == 2
+        assert total == loss_3d
+        assert np.isfinite(total)
 
 
 def test_stage2_deterministic(records):
@@ -141,6 +140,9 @@ def test_stage2_rejects_empty():
     model = GraphUNetModel(SMALL_UNET, seed=0)
     with pytest.raises(DomainError):
         train_unet_stage2(model, [], epochs=1)
+    for epochs, batch_size in ((1, 0), (-1, 8)):
+        with pytest.raises(DomainError):
+            train_unet_stage2(model, generate_dataset(4, seed=0), epochs, batch_size)
 
 
 # ---- full three-stage run ---------------------------------------------------
@@ -170,16 +172,15 @@ def test_train_writes_ordered_stages(records, tmp_path):
     log = train(pipe, records, TrainConfig(stage_epochs=(2, 2, 1), batch_size=16))
     log.write_csv(path)
     # 30 samples at batch 16: 2 steps per epoch
-    stages = [r["stage"] for r in log.rows]
-    assert stages == [1] * 4 + [2] * 4 + [3] * 2
-    assert [r["step"] for r in log.rows] == list(range(1, 11))
-    for r in log.rows:
-        if r["stage"] == 1:
-            assert r["loss_3d"] is None and r["loss_init2d"] is not None
-        elif r["stage"] == 2:
-            assert r["loss_init2d"] is None
+    assert [stage for _, stage, *_ in log.rows] == [1] * 4 + [2] * 4 + [3] * 2
+    assert [step for step, *_ in log.rows] == list(range(1, 11))
+    for _, stage, _, loss_init2d, loss_2d, loss_3d, _ in log.rows:
+        if stage == 1:
+            assert loss_3d is None and loss_init2d is not None
+        elif stage == 2:
+            assert loss_init2d is None
         else:
-            assert None not in (r["loss_init2d"], r["loss_2d"], r["loss_3d"])
+            assert None not in (loss_init2d, loss_2d, loss_3d)
     with open(path) as f:
         header = f.readline().strip().split(",")
     assert header == list(LOG_COLUMNS)
@@ -204,15 +205,15 @@ def test_train_rejects_empty():
 
 
 def test_divergence_raises_with_partial_log(records):
-    model = GraphUNetModel(SMALL_UNET, seed=0)
-    wild = SgdSchedule(1e9)                  # mm^2 losses explode immediately
+    pipe = HopePipeline(SMALL_PIPE, seed=0)
+    # plain SGD at the stock lr blows up on the mm^2-scale stage-2 loss
     with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as exc_info:
-        train_unet_stage2(model, records, epochs=50, batch_size=8,
-                          optimizer="sgd", seed=0, schedule=wild)
+        train(pipe, records, TrainConfig(stage_epochs=(1, 50, 1), batch_size=8,
+                                         optimizer="sgd"))
     err = exc_info.value
     assert err.log.rows, "partial log should be attached"
-    assert all(np.isfinite(r["total"]) for r in err.log.rows)
-    for p in model.parameters().values():
+    assert all(np.isfinite(total) for *_, total in err.log.rows)
+    for p in pipe.parameters().values():
         assert np.all(np.isfinite(p.data))
 
 

@@ -75,7 +75,7 @@ def test_forward_matches_straight_line_composition():
 
 def test_default_parameter_count():
     model = GraphUNetModel(UNetConfig(), seed=0)
-    assert model.num_parameters() == 434_755
+    assert sum(p.size for p in model.parameters().values()) == 434_755
     # independent arithmetic: convs carry A (n^2) and W (in x out),
     # each level adds a pool (n_out x n_in) and an unpool transpose shape
     ns, fs = (29, 15, 8, 4), (64, 128, 256, 512)
