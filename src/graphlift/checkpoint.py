@@ -109,7 +109,9 @@ def _open(base: str):
         raise CheckpointFormatError(f"missing checkpoint manifest {manifest_path(base)}")
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CheckpointFormatError(f"unreadable checkpoint manifest: {e}")
-    if not isinstance(manifest, dict) or manifest.get("format_version") != FORMAT_VERSION:
+    if not isinstance(manifest, dict):
+        raise CheckpointFormatError("checkpoint manifest must be a JSON object")
+    if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointFormatError(
             f"unsupported checkpoint format_version {manifest.get('format_version')!r}"
         )

@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from .ablation import AblationConfig, SUITES, run_ablation, write_runs_csv, write_summary_csv
-from .checkpoint import load_checkpoint
 from .errors import (
     CheckpointFormatError, DatasetFormatError, DegenerateGeometryError,
     DomainError, NumericError, TrainingDiverged, UsageError,
@@ -337,8 +336,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_export_adjacency(args) -> int:
-    arrays, _config = load_checkpoint(args.ckpt)
-    adaptive = {k: v for k, v in arrays.items() if k.endswith(".A")}
+    # load_model checks every name and shape against the checkpoint's config
+    adaptive = {k: p.data for k, p in load_model(args.ckpt).parameters().items()
+                if k.endswith(".A")}
     if not adaptive:
         raise DomainError("checkpoint has no adaptive adjacency kernels")
     os.makedirs(args.out_dir, exist_ok=True)

@@ -21,7 +21,7 @@ __all__ = [
     "NUM_HAND_NODES", "NUM_OBJECT_NODES", "NUM_NODES",
     "FINGER_NAMES", "JOINT_TYPES", "NODE_NAMES", "HAND_INDICES", "OBJECT_INDICES",
     "skeleton_adjacency", "finger_indices", "joint_type_indices", "resolve_subset",
-    "FIXED_POOL_GROUPS",
+    "NODE_SCHEDULE", "FIXED_POOL_GROUPS",
 ]
 
 NUM_HAND_NODES = 21
@@ -129,8 +129,11 @@ def _groups_8_to_4() -> list[list[int]]:
     return [[0], [1, 2], [3, 4, 5], [6, 7]]
 
 
+# The graph U-Net's node count at each level, from the full graph down.
+NODE_SCHEDULE = (29, 15, 8, 4)
+
 # Anatomy-aligned partitions used by the fixed (non-trainable) pooling
-# variant, one per level of the default node schedule 29 -> 15 -> 8 -> 4.
+# variant, one per level of NODE_SCHEDULE.
 FIXED_POOL_GROUPS: dict[tuple[int, int], list[list[int]]] = {
     (29, 15): _groups_29_to_15(),
     (15, 8): _groups_15_to_8(),

@@ -86,9 +86,8 @@ def per_joint_errors(preds, gts) -> dict:
     """
     d = _distances(preds, gts)
     per_node = d.mean(axis=0)
-    joint_types = {"wrist": float(per_node[0])}
-    for jt in JOINT_TYPES:
-        joint_types[jt] = float(per_node[joint_type_indices(jt)].mean())
+    joint_types = {jt: float(per_node[joint_type_indices(jt)].mean())
+                   for jt in ("wrist",) + JOINT_TYPES}
     fingers = {f: float(per_node[finger_indices(f)].mean()) for f in FINGER_NAMES}
     return {
         "per_node": per_node,

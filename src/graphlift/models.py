@@ -19,20 +19,12 @@ from .keypoints import NUM_NODES, skeleton_adjacency
 from .layers import uniform_init
 from .pipeline import HopePipeline, PipelineConfig
 from .tensor import Tensor, matmul, relu
-from .unet import GraphUNetModel, UNetConfig, lift_input
+from .unet import MM_SCALE, GraphUNetModel, UNetConfig, lift_input
 
 __all__ = ["FcBaselineModel", "PlainGcnModel", "save_model", "load_model"]
 
 
-class _LiftModelBase:
-    """Shared plumbing for (B, 29, 2) -> (B, 29, 3) models."""
-
-    input_center = 320.0
-    input_scale = 160.0
-    output_scale = 250.0
-
-
-class FcBaselineModel(_LiftModelBase):
+class FcBaselineModel:
     """Dense 3-layer lift over the flattened coordinate vector."""
 
     def __init__(self, hidden: tuple = (256, 256), seed: int = 0):
@@ -47,12 +39,12 @@ class FcBaselineModel(_LiftModelBase):
                                        requires_grad=True, name=f"fc{i}.W"))
 
     def forward(self, coords2d) -> Tensor:
-        h = lift_input(coords2d, self.input_center, self.input_scale)
+        h = lift_input(coords2d)
         h = h.reshape(h.shape[0], NUM_NODES * 3)
         for w in self.weights[:-1]:
             h = relu(matmul(h, w))
         y = matmul(h, self.weights[-1]).reshape(h.shape[0], NUM_NODES, 3)
-        return y * self.output_scale
+        return y * MM_SCALE
 
     def parameters(self) -> dict[str, Tensor]:
         return {w.name: w for w in self.weights}
@@ -61,7 +53,7 @@ class FcBaselineModel(_LiftModelBase):
         return {"kind": "fc", "seed": self.seed, "fc": {"hidden": list(self.hidden)}}
 
 
-class PlainGcnModel(_LiftModelBase):
+class PlainGcnModel:
     """Three graph convolutions over the fixed renormalized skeleton."""
 
     def __init__(self, hidden: tuple = (128, 128), seed: int = 0):
@@ -76,13 +68,13 @@ class PlainGcnModel(_LiftModelBase):
                                        requires_grad=True, name=f"conv{i}.W"))
 
     def forward(self, coords2d) -> Tensor:
-        h = lift_input(coords2d, self.input_center, self.input_scale)
+        h = lift_input(coords2d)
         last = len(self.weights) - 1
         for i, w in enumerate(self.weights):
             h = matmul(self.adjacency, matmul(h, w))
             if i < last:
                 h = relu(h)
-        return h * self.output_scale
+        return h * MM_SCALE
 
     def parameters(self) -> dict[str, Tensor]:
         return {w.name: w for w in self.weights}
@@ -101,7 +93,7 @@ def _build(config: dict):
     try:
         seed = int(config.get("seed", 0))
         if kind == "unet":
-            return GraphUNetModel(UNetConfig(**config["unet"]), seed=seed)
+            return GraphUNetModel(UNetConfig.from_dict(config["unet"]), seed=seed)
         if kind == "pipeline":
             return HopePipeline(PipelineConfig.from_dict(config["pipeline"]), seed=seed)
         if kind == "fc":

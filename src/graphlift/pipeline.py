@@ -21,8 +21,9 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .layers import AdaptiveGraphConvLayer, SharedInputGraphConv, prefixed, uniform_init
 from .keypoints import NUM_NODES
+from .synth import IMAGE_SIZE
 from .tensor import Tensor, concat_features, matmul, mse
-from .unet import GraphUNetModel, UNetConfig
+from .unet import PIXEL_CENTER, PIXEL_SCALE, GraphUNetModel, UNetConfig, without_constants
 
 __all__ = [
     "PipelineConfig", "HopeLossWeights", "StubFeatureProvider", "RefineNet",
@@ -46,11 +47,6 @@ class PipelineConfig:
     feature_width: int = 2048
     refine_widths: tuple = (512, 128)
     raster_grid: int = 32
-    image_size: float = 640.0
-    input_center: float = 320.0
-    input_scale: float = 160.0
-    stub_output_scale: float = 160.0
-    refine_output_scale: float = 160.0
 
     def __post_init__(self):
         object.__setattr__(self, "refine_widths", tuple(int(w) for w in self.refine_widths))
@@ -61,21 +57,24 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        return cls(**{**d, "unet": UNetConfig(**d["unet"])})
+        d = without_constants(d, {
+            "image_size": IMAGE_SIZE, "input_center": PIXEL_CENTER, "input_scale": PIXEL_SCALE,
+            "stub_output_scale": PIXEL_SCALE, "refine_output_scale": PIXEL_SCALE})
+        return cls(**{**d, "unet": UNetConfig.from_dict(d["unet"])})
 
 
-def rasterize_keypoints(coords2d, grid: int = 32, image_size: float = 640.0) -> np.ndarray:
+def rasterize_keypoints(coords2d, grid: int = 32) -> np.ndarray:
     """Binary occupancy grid, flattened row-major: (B, grid*grid).
 
-    Keypoints are binned at image_size/grid pixels per cell; coordinates
-    outside the image clamp to the border cells.
+    Keypoints are binned at IMAGE_SIZE/grid pixels per cell; coordinates
+    outside the image, however far, clamp to the border cells.
     """
     pts = np.asarray(coords2d, dtype=np.float64)
     if pts.ndim != 3 or pts.shape[-1] != 2:
         raise DimensionError(f"expected (B, N, 2) keypoints, got {pts.shape}")
-    cell = image_size / grid
-    cols = np.clip((pts[..., 0] // cell).astype(np.intp), 0, grid - 1)
-    rows = np.clip((pts[..., 1] // cell).astype(np.intp), 0, grid - 1)
+    cell = IMAGE_SIZE / grid
+    # clipped before the cast: a cell index beyond intp's range does not wrap
+    cols, rows = np.moveaxis(np.clip(pts // cell, 0, grid - 1).astype(np.intp), -1, 0)
     flat = rows * grid + cols                       # (B, N)
     out = np.zeros((pts.shape[0], grid * grid))
     b = np.repeat(np.arange(pts.shape[0]), pts.shape[1])
@@ -100,11 +99,10 @@ class StubFeatureProvider:
 
     def encode_batch(self, coords2d_batch) -> tuple[Tensor, Tensor]:
         """(B, 29, 2) ground-truth pixels -> features (B, 2048), init2d (B, 29, 2)."""
-        raster = rasterize_keypoints(coords2d_batch, self.config.raster_grid,
-                                     self.config.image_size)
+        raster = rasterize_keypoints(coords2d_batch, self.config.raster_grid)
         features = matmul(Tensor(raster), self.W1)
         head = matmul(features, self.W2) + self.b2
-        init2d = head.reshape(head.shape[0], NUM_NODES, 2) * self.config.stub_output_scale
+        init2d = head.reshape(head.shape[0], NUM_NODES, 2) * PIXEL_SCALE
         return features, init2d
 
     def parameters(self) -> dict[str, Tensor]:
@@ -142,11 +140,11 @@ class RefineNet:
             )
         if init2d.ndim != 3 or init2d.shape[1:] != (NUM_NODES, 2):
             raise DimensionError(f"expected (B, {NUM_NODES}, 2) estimates, got {init2d.shape}")
-        scaled = (init2d - cfg.input_center) * (1.0 / cfg.input_scale)
+        scaled = (init2d - PIXEL_CENTER) * (1.0 / PIXEL_SCALE)
         h = concat_features([features, scaled.reshape(init2d.shape[0], NUM_NODES * 2)])
         for layer in self.layers:
             h = layer.forward(h)
-        return h * cfg.refine_output_scale
+        return h * PIXEL_SCALE
 
     def parameters(self) -> dict[str, Tensor]:
         return prefixed((f"conv{i}", layer) for i, layer in enumerate(self.layers))

@@ -27,14 +27,15 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+IMAGE_SIZE = 640.0   # px, the side of the square image every sample projects into
 
 
 @dataclass(frozen=True)
 class Camera:
     fx: float = 600.0
     fy: float = 600.0
-    cx: float = 320.0
-    cy: float = 320.0
+    cx: float = IMAGE_SIZE / 2
+    cy: float = IMAGE_SIZE / 2
 
     @classmethod
     def from_dict(cls, d: dict) -> "Camera":
@@ -158,7 +159,6 @@ MIN_BOX_DIM_GAP = 5.0
 BOX_OFFSET = 30.0
 BONE_SCALE_RANGE = (0.92, 1.08)
 IMAGE_MARGIN = 5.0
-IMAGE_SIZE = 640.0
 MAX_TRIES = 200
 
 

@@ -5,14 +5,14 @@ and convolves back up to the full node count.
 Input is 29 nodes x 2 pixel coordinates, output 29 nodes x 3 millimeter
 coordinates.  Raw pixels and millimeters are poor numeric ranges for
 unit-scale weights, so the model applies fixed affine constants: inputs
-are centered/scaled into roughly [-2, 2] and the final features are
-multiplied by output_scale.  A constant all-ones column is appended to
-the normalized input: the graph layers carry no bias terms, and without
-some constant channel a ReLU stack is positively homogeneous in its
-input, which would forbid the inverse relation between 2D spread and
-depth that the lift has to learn.  All of these are architecture
+are mapped to (x - PIXEL_CENTER) / PIXEL_SCALE, roughly [-2, 2], and the
+final features are multiplied by MM_SCALE.  A constant all-ones column is
+appended to the normalized input: the graph layers carry no bias terms,
+and without some constant channel a ReLU stack is positively homogeneous
+in its input, which would forbid the inverse relation between 2D spread
+and depth that the lift has to learn.  All of these are architecture
 constants, not trainable, and the all-zero-parameter model still outputs
-exactly zero.
+exactly zero.  The cascade and the baselines read the same constants.
 """
 
 from __future__ import annotations
@@ -22,39 +22,43 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .adjacency import ADJACENCY_INIT_VARIANTS, initial_adjacency
-from .errors import DimensionError, DomainError
-from .keypoints import FIXED_POOL_GROUPS, NUM_NODES
+from .errors import CheckpointFormatError, DimensionError, DomainError
+from .keypoints import FIXED_POOL_GROUPS, NODE_SCHEDULE, NUM_NODES
 from .layers import (AdaptiveGraphConvLayer, GPoolLayer, NodeMap, partition_matrix,
                      prefixed, scatter_rows_batched, uniform_init)
 from .tensor import Tensor, concat_features
 
-__all__ = ["UNetConfig", "GraphUNetModel", "lift_input", "POOLING_VARIANTS"]
+__all__ = ["UNetConfig", "GraphUNetModel", "lift_input", "without_constants",
+           "POOLING_VARIANTS", "PIXEL_CENTER", "PIXEL_SCALE", "MM_SCALE"]
 
 POOLING_VARIANTS = ("trainable", "gpool", "fixed")
+
+PIXEL_CENTER = 320.0   # px: pixel coordinates map to (x - PIXEL_CENTER) / PIXEL_SCALE
+PIXEL_SCALE = 160.0    # px per unit of every normalized 2D input and 2D output
+MM_SCALE = 250.0       # mm per unit of the 3D output
+
+
+def without_constants(d: dict, constants: dict) -> dict:
+    """A manifest's config dict less the keys that earlier releases stored
+    for today's constants; a model trained under another value predicts wrongly."""
+    d = dict(d)   # TypeError or ValueError if the config is not an object
+    for key, value in constants.items():
+        if d.get(key, value) != value:
+            raise CheckpointFormatError(
+                f"checkpoint config key {key!r} is {d[key]!r}; only {value!r} is supported")
+    return {k: v for k, v in d.items() if k not in constants}
 
 
 @dataclass(frozen=True)
 class UNetConfig:
-    node_schedule: tuple = (29, 15, 8, 4)
     feature_schedule: tuple = (64, 128, 256, 512)
-    in_features: int = 2
-    out_features: int = 3
     pooling: str = "trainable"
     adjacency_init: str = "identity"
-    input_center: float = 320.0
-    input_scale: float = 160.0
-    output_scale: float = 250.0
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in self.node_schedule)
         fs = tuple(int(f) for f in self.feature_schedule)
-        object.__setattr__(self, "node_schedule", ns)
         object.__setattr__(self, "feature_schedule", fs)
-        if len(ns) < 2 or ns[0] != NUM_NODES:
-            raise DomainError(f"node schedule must start at {NUM_NODES}, got {ns}")
-        if any(b >= a for a, b in zip(ns, ns[1:])):
-            raise DomainError(f"node schedule must be strictly decreasing, got {ns}")
-        if len(fs) != len(ns):
+        if len(fs) != len(NODE_SCHEDULE):
             raise DomainError("feature schedule must have one width per node level")
         if any(f < 1 for f in fs):
             raise DomainError("feature widths must be positive")
@@ -63,20 +67,23 @@ class UNetConfig:
         if self.adjacency_init not in ADJACENCY_INIT_VARIANTS:
             raise DomainError(f"adjacency_init must be one of {ADJACENCY_INIT_VARIANTS}, "
                               f"got {self.adjacency_init!r}")
-        if self.in_features < 1 or self.out_features < 1:
-            raise DomainError("feature counts must be positive")
-        if not (self.input_scale > 0 and self.output_scale > 0):
-            raise DomainError("scales must be positive")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "UNetConfig":
+        return cls(**without_constants(d, {
+            "node_schedule": list(NODE_SCHEDULE), "in_features": 2, "out_features": 3,
+            "input_center": PIXEL_CENTER, "input_scale": PIXEL_SCALE,
+            "output_scale": MM_SCALE}))
 
 
-def lift_input(coords2d, center: float, scale: float, width: int = 2) -> Tensor:
-    """(B, 29, width) pixels -> (B, 29, width + 1): (x - center) / scale with
+def lift_input(coords2d) -> Tensor:
+    """(B, 29, 2) pixels -> (B, 29, 3): (x - PIXEL_CENTER) / PIXEL_SCALE with
     the constant ones column appended, the input map of every lift model."""
     x = coords2d if isinstance(coords2d, Tensor) else Tensor(coords2d)
-    if x.ndim != 3 or x.shape[1:] != (NUM_NODES, width):
-        raise DimensionError(f"expected (B, {NUM_NODES}, {width}) inputs, got {x.shape}")
+    if x.ndim != 3 or x.shape[1:] != (NUM_NODES, 2):
+        raise DimensionError(f"expected (B, {NUM_NODES}, 2) inputs, got {x.shape}")
     ones = Tensor(np.ones((x.shape[0], NUM_NODES, 1)))
-    return concat_features([(x - center) * (1.0 / scale), ones])
+    return concat_features([(x - PIXEL_CENTER) * (1.0 / PIXEL_SCALE), ones])
 
 
 class GraphUNetModel:
@@ -86,7 +93,7 @@ class GraphUNetModel:
         self.config = config
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
-        ns, fs = config.node_schedule, config.feature_schedule
+        ns, fs = NODE_SCHEDULE, config.feature_schedule
         levels = len(ns) - 1   # number of pool/unpool pairs
 
         def adj(n):
@@ -95,8 +102,8 @@ class GraphUNetModel:
         self.enc_convs = []
         self.pools = []
         for i in range(levels):
-            # +1: a constant bias column rides along with the input features
-            in_w = config.in_features + 1 if i == 0 else fs[i - 1]
+            # lift_input's 2 normalized coordinates and its constant ones column
+            in_w = 3 if i == 0 else fs[i - 1]
             self.enc_convs.append(AdaptiveGraphConvLayer(adj(ns[i]), in_w, fs[i],
                                                          "relu", rng))
             self.pools.append(self._make_pool(ns[i], ns[i + 1], fs[i], rng))
@@ -107,8 +114,7 @@ class GraphUNetModel:
             self.unpools.append(self._make_unpool(ns[i + 1], ns[i], rng))
             self.dec_convs.append(AdaptiveGraphConvLayer(adj(ns[i]), fs[i] + fs[i + 1],
                                                          fs[i], "relu", rng))
-        self.final = AdaptiveGraphConvLayer(adj(ns[0]), fs[0], config.out_features,
-                                            "linear", rng)
+        self.final = AdaptiveGraphConvLayer(adj(ns[0]), fs[0], 3, "linear", rng)
         if config.adjacency_init == "zeros":
             # the zero-kernel study zeroes every trainable matrix, not just A;
             # gPool projections stay put (a zero projection has no score scale)
@@ -134,15 +140,14 @@ class GraphUNetModel:
 
     def forward(self, coords2d) -> Tensor:
         """Lift (B, 29, 2) pixel keypoints to (B, 29, 3) millimeters."""
-        cfg = self.config
-        h = lift_input(coords2d, cfg.input_center, cfg.input_scale, cfg.in_features)
-        skips = []
-        pool_indices = []
-        levels = len(cfg.node_schedule) - 1
+        gpool = self.config.pooling == "gpool"
+        h = lift_input(coords2d)
+        skips, pool_indices = [], []
+        levels = len(NODE_SCHEDULE) - 1
         for i in range(levels):
             h = self.enc_convs[i].forward(h)
             skips.append(h)
-            if cfg.pooling == "gpool":
+            if gpool:
                 h, idx = self.pools[i].forward(h)
                 pool_indices.append(idx)
             else:
@@ -150,13 +155,13 @@ class GraphUNetModel:
         h = self.bottleneck.forward(h)
         for j in range(levels):
             lvl = levels - 1 - j
-            if cfg.pooling == "gpool":
-                h = scatter_rows_batched(h, pool_indices[lvl], cfg.node_schedule[lvl])
+            if gpool:
+                h = scatter_rows_batched(h, pool_indices[lvl], NODE_SCHEDULE[lvl])
             else:
                 h = self.unpools[j].forward(h)
             h = concat_features([skips[lvl], h])
             h = self.dec_convs[j].forward(h)
-        return self.final.forward(h) * cfg.output_scale
+        return self.final.forward(h) * MM_SCALE
 
     def parameters(self) -> dict[str, Tensor]:
         parts = []

@@ -108,7 +108,7 @@ def test_non_finite_blob_rejected(tmp_path):
 def test_corrupt_manifest_json(tmp_path):
     base = str(tmp_path / "ck")
     save_checkpoint(base, {"w": np.zeros(1)})
-    for text in (b"{not json", b'{"format_version": 1, "x": "\xff\xfe"}'):
+    for text in (b"{not json", b'{"format_version": 1, "x": "\xff\xfe"}', b"0", b"[1]"):
         Path(manifest_path(base)).write_bytes(text)
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(base)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from graphlift import ablation
-from graphlift.checkpoint import load_checkpoint
+from graphlift.checkpoint import load_checkpoint, save_checkpoint
 from graphlift.cli import main
 from graphlift.metrics import PcpCurve, auc
 from graphlift.keypoints import NODE_NAMES
@@ -271,7 +271,7 @@ def test_eval_missing_checkpoint_exits_2(dataset, tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("edit", ["renamed", "transposed"])
+@pytest.mark.parametrize("edit", ["renamed", "transposed", "constant changed"])
 def test_eval_checkpoint_that_does_not_fit_its_config_exits_2(
         unet_ckpt, dataset, tmp_path, capsys, edit):
     with open(unet_ckpt + ".json") as fh:
@@ -279,9 +279,11 @@ def test_eval_checkpoint_that_does_not_fit_its_config_exits_2(
     params = manifest["params"]
     if edit == "renamed":
         params["final.X"] = params.pop("final.W")
-    else:
+    elif edit == "transposed":
         assert params["final.W"]["shape"] == [4, 3]
         params["final.W"]["shape"] = [3, 4]
+    else:   # an earlier release's key, at a value other than its one constant
+        manifest["config"]["unet"]["input_scale"] = 100.0
     base = str(tmp_path / "mismatch")
     with open(base + ".json", "w") as fh:
         json.dump(manifest, fh)
@@ -399,6 +401,19 @@ def test_export_adjacency_round_trips(unet_ckpt, tmp_path):
     for full in ("enc0_A.csv", "final_A.csv"):
         with open(os.path.join(out, full)) as fh:
             assert fh.readline().strip() == "29"
+
+
+@pytest.mark.parametrize("shape", [(3,), (), (2, 3)], ids=["vector", "scalar", "non-square"])
+def test_export_adjacency_rejects_a_kernel_of_the_wrong_shape(unet_ckpt, tmp_path, capsys, shape):
+    model = load_model(unet_ckpt)
+    params = dict(model.parameters())
+    params["enc0.A"] = np.ones(shape)
+    base = str(tmp_path / "bad")
+    save_checkpoint(base, params, model.config_dict())
+    out = str(tmp_path / "adj")
+    assert main(["export-adjacency", "--ckpt", base, "--out-dir", out]) == 2
+    assert "enc0.A" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_export_adjacency_requires_adaptive_layers(tmp_path):

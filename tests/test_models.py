@@ -169,8 +169,9 @@ _DEFAULT_UNET_CONFIG = {
     "node_schedule": [29, 15, 8, 4], "out_features": 3, "output_scale": 250.0,
     "pooling": "trainable",
 }
-# The manifest config block as earlier releases wrote it, for the default
-# pipeline and a gPool U-Net.
+# The manifest config blocks that earlier releases wrote, one per model
+# kind and pooling variant.  They stored the constants below as config
+# keys; this release writes the same blocks without them.
 PINNED_CONFIGS = {
     "pipeline": (lambda: HopePipeline(seed=0), {
         "kind": "pipeline", "seed": 0, "pipeline": {
@@ -178,23 +179,77 @@ PINNED_CONFIGS = {
             "input_scale": 160.0, "raster_grid": 32, "refine_output_scale": 160.0,
             "refine_widths": [512, 128], "stub_output_scale": 160.0,
             "unet": _DEFAULT_UNET_CONFIG}}),
+    "trainable": (lambda: GraphUNetModel(seed=1), {
+        "kind": "unet", "seed": 1, "unet": _DEFAULT_UNET_CONFIG}),
     "gpool": (lambda: GraphUNetModel(UNetConfig(feature_schedule=(4, 8, 8, 16),
                                                 pooling="gpool"), seed=3), {
         "kind": "unet", "seed": 3, "unet": {
             **_DEFAULT_UNET_CONFIG, "feature_schedule": [4, 8, 8, 16], "pooling": "gpool"}}),
+    "fixed": (lambda: GraphUNetModel(UNetConfig(feature_schedule=(4, 8, 8, 16),
+                                                pooling="fixed"), seed=5), {
+        "kind": "unet", "seed": 5, "unet": {
+            **_DEFAULT_UNET_CONFIG, "feature_schedule": [4, 8, 8, 16], "pooling": "fixed"}}),
+    "fc": (lambda: FcBaselineModel(seed=2), {"fc": {"hidden": [256, 256]}, "kind": "fc", "seed": 2}),
+    "gcn": (lambda: PlainGcnModel(seed=3), {"gcn": {"hidden": [128, 128]}, "kind": "gcn", "seed": 3}),
 }
+REMOVED_KEYS = {
+    "unet": {"in_features": 2, "input_center": 320.0, "input_scale": 160.0,
+             "node_schedule": [29, 15, 8, 4], "out_features": 3, "output_scale": 250.0},
+    "pipeline": {"image_size": 640.0, "input_center": 320.0, "input_scale": 160.0,
+                 "refine_output_scale": 160.0, "stub_output_scale": 160.0},
+}
+
+
+def _current(block: dict, removed=()) -> dict:
+    """An earlier release's config block as this release writes it: each
+    nested block less the REMOVED_KEYS listed under its name."""
+    return {k: _current(v, REMOVED_KEYS.get(k, ())) if isinstance(v, dict) else v
+            for k, v in block.items() if k not in removed}
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_CONFIGS))
 def test_manifest_config_is_pinned(kind, tmp_path):
-    build, config = PINNED_CONFIGS[kind]
+    build, old = PINNED_CONFIGS[kind]
     model = build()
     save_model(str(tmp_path / "new"), model)
     with open(tmp_path / "new.json") as f:
-        assert json.load(f)["config"] == config
-    save_checkpoint(str(tmp_path / "old"), model.parameters(), config)
+        assert json.load(f)["config"] == _current(old)
+    save_checkpoint(str(tmp_path / "old"), model.parameters(), old)
     back = load_model(str(tmp_path / "old"))
-    assert back.config == model.config and back.seed == model.seed
+    assert back.config_dict() == model.config_dict()
+
+
+# One other value for every removed key, including one nested in a cascade.
+OTHER_VALUES = [
+    ("unet.node_schedule", [29, 15, 8]),
+    ("unet.in_features", 3),
+    ("unet.out_features", 2),
+    ("unet.input_center", 0.0),
+    ("unet.input_scale", 100.0),
+    ("unet.output_scale", 1.0),
+    ("pipeline.image_size", 320.0),
+    ("pipeline.input_center", 0.0),
+    ("pipeline.input_scale", 100.0),
+    ("pipeline.stub_output_scale", 250.0),
+    ("pipeline.refine_output_scale", 1.0),
+    ("pipeline.unet.output_scale", 1000.0),
+]
+
+
+@pytest.mark.parametrize("key, value", OTHER_VALUES, ids=[k for k, _ in OTHER_VALUES])
+def test_removed_key_at_another_value_rejected(tmp_path, key, value):
+    # a model trained under another normalization would predict wrongly
+    *path, name = key.split(".")
+    build, old = PINNED_CONFIGS["pipeline" if path[0] == "pipeline" else "trainable"]
+    config = json.loads(json.dumps(old))
+    block = config
+    for part in path:
+        block = block[part]
+    block[name] = value
+    base = str(tmp_path / "old")
+    save_checkpoint(base, build().parameters(), config)
+    with pytest.raises(CheckpointFormatError, match=name):
+        load_model(base)
 
 
 def test_load_unknown_kind_rejected(tmp_path):
@@ -211,6 +266,10 @@ def test_load_malformed_config_rejected(tmp_path):
         load_model(base)
     config = GraphUNetModel(SMALL_UNET).config_dict()
     config["unet"]["pooling"] = "mesh"   # out of range, not a usage error
+    save_checkpoint(base, {"w": Tensor(np.zeros(3))}, config)
+    with pytest.raises(CheckpointFormatError):
+        load_model(base)
+    config["unet"] = ["trainable"]       # not an object
     save_checkpoint(base, {"w": Tensor(np.zeros(3))}, config)
     with pytest.raises(CheckpointFormatError):
         load_model(base)

@@ -1,6 +1,7 @@
 """The full cascade: raster stub, 2D refinement, loss contract, inference."""
 
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -42,6 +43,15 @@ def test_raster_clamps_out_of_image():
     np.testing.assert_array_equal(np.flatnonzero(out), [31 * 32])
 
 
+@pytest.mark.parametrize("x, col", [(1e19, 31), (1e21, 31), (-1e21, 0), (1.7e308, 31)])
+def test_raster_clamps_far_coordinates_without_warning(x, col):
+    # cell indices beyond intp's range are clipped before the cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = rasterize_keypoints(np.array([[[x, 10.0]]]))
+    np.testing.assert_array_equal(np.flatnonzero(out), [col])
+
+
 def test_raster_occupancy_not_counts():
     pts = np.array([[5.0, 5.0], [6.0, 6.0], [7.0, 7.0]])   # same cell
     out = rasterize_keypoints(pts[None])
@@ -50,7 +60,7 @@ def test_raster_occupancy_not_counts():
 
 def test_raster_batched():
     pts = np.zeros((3, 29, 2))
-    out = rasterize_keypoints(pts, grid=8, image_size=640.0)
+    out = rasterize_keypoints(pts, grid=8)
     assert out.shape == (3, 64)
     with pytest.raises(DimensionError):
         rasterize_keypoints(np.zeros((3, 29, 3)))
@@ -72,14 +82,13 @@ def test_stub_feature_contract(records):
 
 def test_stub_is_linear_in_raster(records):
     pipe = HopePipeline(SMALL, seed=1)
-    raster = rasterize_keypoints(records[0].gt2d[None], SMALL.raster_grid,
-                                 SMALL.image_size)
+    raster = rasterize_keypoints(records[0].gt2d[None], SMALL.raster_grid)
     features, init2d = pipe.stub.encode_batch(records[0].gt2d[None])
     np.testing.assert_allclose(features.data, raster @ pipe.stub.W1.data,
                                atol=1e-12)
     head = features.data @ pipe.stub.W2.data + pipe.stub.b2.data
     np.testing.assert_allclose(init2d.data,
-                               head.reshape(1, 29, 2) * SMALL.stub_output_scale,
+                               head.reshape(1, 29, 2) * 160.0,
                                atol=1e-12)
 
 
@@ -107,13 +116,13 @@ def test_refine_matches_composed_matrix_ops(records):
 
     f = features.data
     h = np.concatenate([np.tile(f, (29, 1)),
-                        (init2d.data[0] - SMALL.input_center) / SMALL.input_scale],
+                        (init2d.data[0] - 320.0) / 160.0],
                        axis=1)
     for i, layer in enumerate(pipe.refine.layers):
         h = layer.A.data @ (h @ layer.W.data)
         if i < 2:
             h = np.maximum(h, 0.0)
-    np.testing.assert_allclose(out, h * SMALL.refine_output_scale, atol=1e-10)
+    np.testing.assert_allclose(out, h * 160.0, atol=1e-10)
 
 
 def test_each_refine_layer_is_a_pure_function_of_its_one_input(desk_cascade):

@@ -1,5 +1,5 @@
-"""Property tests: gradients of broadcasting ops on random shapes, and
-bitwise round trips of checkpoints and datasets.
+"""Property tests: gradients of broadcasting ops on random shapes, bitwise
+round trips of checkpoints and datasets, and the CLI's exit codes.
 
 Every gradient case is checked against central differences by grad_check.
 Binary-op shapes are drawn so that operands broadcast against each other by
@@ -8,19 +8,26 @@ any of its axes to 1.  Concatenated operands share their leading shape.
 Runs are derandomized, so the examples are the same each run.
 """
 
+import contextlib
+import io
+import json
 import math
 import operator
 import os
+import shutil
 import tempfile
 
 import numpy as np
 import pytest
 
-from graphlift.checkpoint import blob_path, load_checkpoint, save_checkpoint
+from graphlift.checkpoint import blob_path, load_checkpoint, manifest_path, save_checkpoint
+from graphlift.cli import main
 from graphlift.gradcheck import grad_check
 from graphlift.keypoints import NUM_NODES
-from graphlift.synth import Camera, SampleRecord, load_dataset, save_dataset
+from graphlift.models import save_model
+from graphlift.synth import Camera, SampleRecord, generate_dataset, load_dataset, save_dataset
 from graphlift.tensor import Tensor, concat_features
+from graphlift.unet import GraphUNetModel, UNetConfig
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -170,3 +177,125 @@ def test_dataset_round_trip_is_bitwise(records):
         assert got.gt2d.tobytes() == want.gt2d.tobytes()
         cam = [(c.fx, c.fy, c.cx, c.cy) for c in (got.camera, want.camera)]
         assert np.array(cam[0]).tobytes() == np.array(cam[1]).tobytes()
+
+
+# ---- CLI exit codes -----------------------------------------------------------
+
+
+def _converts(convert, text: str) -> bool:
+    try:
+        convert(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Values each option must reject.  Texts are filtered by the option's own
+# rule: a seed is str.isdecimal (which "٣" passes, and int() reads as 3).
+not_seeds = st.text(max_size=6).filter(
+    lambda t: not all(s.isdecimal() for s in t.split(",")))
+not_int_list = st.text(max_size=8).filter(
+    lambda t: not _converts(lambda x: [int(s) for s in x.split(",")], t))
+not_positive = (st.floats(max_value=0.0).map(repr) | st.sampled_from(["nan", "inf", "-inf"])
+                | st.text(max_size=6).filter(lambda t: not _converts(float, t)))
+
+
+def not_one_of(*choices):
+    return st.text(max_size=8).filter(lambda t: t not in choices)
+
+
+PREFIX = {
+    "gen": ["gen", "--n", "2", "--out", "{out}"],
+    "train": ["train", "--data", "{data}", "--out-ckpt", "{out}"],
+    "eval": ["eval", "--data", "{data}", "--ckpt", "{ckpt}", "--report", "{out}"],
+    "ablate": ["ablate", "--suite", "pooling", "--data", "{data}", "--out-dir", "{out}"],
+    "gradcheck": ["gradcheck"],
+}
+# (command, option, values it rejects): each line parses up to that option
+BAD_ARGUMENTS = [
+    ("gen", "--seed", not_seeds), ("train", "--seed", not_seeds),
+    ("ablate", "--seeds", not_seeds), ("gradcheck", "--seed", not_seeds),
+    ("train", "--stage-epochs", not_int_list), ("ablate", "--widths", not_int_list),
+    ("gradcheck", "--tol", not_positive), ("eval", "--threshold-limit", not_positive),
+    ("ablate", "--suite", not_one_of("architecture", "pooling", "adjacency")),
+    ("train", "--preset", not_one_of("desk", "paper")),
+    ("train", "--optimizer", not_one_of("adam", "sgd")),
+    ("gradcheck", "--target", not_one_of("layers", "unet", "pipeline")),
+]
+# (command line, the file in it that is bad)
+BAD_FILE_COMMANDS = [
+    (["train", "--data", "{bad}", "--out-ckpt", "{out}"], "data"),
+    (["eval", "--data", "{bad}", "--ckpt", "{ckpt}", "--report", "{out}"], "data"),
+    (["ablate", "--suite", "pooling", "--data", "{bad}", "--out-dir", "{out}"], "data"),
+    (["eval", "--data", "{data}", "--ckpt", "{bad}", "--report", "{out}"], "ckpt"),
+    (["export-adjacency", "--ckpt", "{bad}", "--out-dir", "{out}"], "ckpt"),
+]
+# JSON that is no dataset record and no checkpoint manifest
+json_text = st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+                         lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                         max_leaves=6).map(json.dumps)
+CLI_SETTINGS = hypothesis.settings(SETTINGS, max_examples=60)
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A valid two-sample dataset and a valid small U-Net checkpoint."""
+    tmp = tmp_path_factory.mktemp("cli")
+    save_dataset(str(tmp / "data.jsonl"), generate_dataset(2, seed=0))
+    save_model(str(tmp / "ck"), GraphUNetModel(UNetConfig(feature_schedule=(4, 8, 8, 16))))
+    return {"data": str(tmp / "data.jsonl"), "ckpt": str(tmp / "ck")}
+
+
+def _run(argv) -> tuple[int, str]:
+    """main(argv)'s exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@CLI_SETTINGS
+@hypothesis.given(st.data())
+def test_malformed_arguments_exit_1(cli_inputs, data):
+    command, option, values = data.draw(st.sampled_from(BAD_ARGUMENTS))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        argv = [a.format(out=out, **cli_inputs) for a in PREFIX[command]]
+        rc, err = _run(argv + [option, data.draw(values)])
+        assert (rc, err.split(":")[0]) == (1, "usage error"), err
+        assert not os.path.exists(out)
+
+
+@CLI_SETTINGS
+@hypothesis.given(st.sampled_from(BAD_FILE_COMMANDS),
+                  st.sampled_from(["missing", "directory", "not utf-8", "malformed", "cut short"]),
+                  st.text(max_size=40) | json_text, st.binary(max_size=16))
+@hypothesis.example(BAD_FILE_COMMANDS[-1], "malformed", "[0]", b"")   # a manifest not an object
+def test_missing_or_malformed_files_exit_2(cli_inputs, case, fault, text, raw):
+    template, which = case
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = os.path.join(tmp, "bad")
+        # a checkpoint's manifest takes the fault; its blob is the valid one
+        path = manifest_path(bad) if which == "ckpt" else bad
+        if which == "ckpt":
+            shutil.copyfile(blob_path(cli_inputs["ckpt"]), blob_path(bad))
+        if fault == "directory":
+            os.mkdir(path)
+        elif fault == "not utf-8":
+            with open(path, "wb") as f:
+                f.write(raw + b"\xff")
+        elif fault == "malformed":
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+        elif fault == "cut short":      # a valid file missing its last 2+ bytes
+            good = cli_inputs[which]
+            shutil.copyfile(manifest_path(good) if which == "ckpt" else good, path)
+            cut = blob_path(bad) if which == "ckpt" else path
+            with open(cut, "r+b") as f:     # a dataset loses at least "}\n"
+                f.truncate(max(os.path.getsize(cut) - 2 - len(raw), 0))
+        out = os.path.join(tmp, "out")
+        argv = [a.format(bad=bad, out=out, **cli_inputs) for a in template]
+        rc, err = _run(argv)
+        assert (rc, err.split(":")[0]) == (2, "data error"), err
+        assert not os.path.exists(out)
