@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .ablation import AblationConfig, SUITES, run_ablation, write_runs_csv, write_summary_csv
+from .checkpoint import blob_path, manifest_path
 from .errors import (
     CheckpointFormatError, DatasetFormatError, DegenerateGeometryError,
     DomainError, NumericError, TrainingDiverged, UsageError,
@@ -103,8 +104,6 @@ def _build_parser() -> _Parser:
                    help="training log CSV (default <out-ckpt>_log.csv)")
     t.add_argument("--stage-epochs", type=_int_list, default=None, metavar="E1,E2,E3",
                    help="override the preset epoch counts")
-    t.add_argument("--optimizer", choices=("adam", "sgd"), default="adam",
-                   help="optimizer (default adam)")
     t.add_argument("--batch-size", type=int, default=32, help="default 32")
     t.add_argument("--noise-sigma", type=float, default=10.0,
                    help="stage-2 input noise in px (default 10)")
@@ -172,14 +171,26 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _check_output_file(path: str) -> None:
+    """Raise, before any work, the error that writing the file `path` would raise."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise (NotADirectoryError if os.path.exists(parent) else FileNotFoundError)(
+            f"cannot write {path}: {parent} is not a directory")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+
+
 def cmd_train(args) -> int:
     records = load_dataset(args.data)
     epochs = PRESET_EPOCHS[args.preset] if args.stage_epochs is None else args.stage_epochs
     config = TrainConfig(stage_epochs=epochs, preset=args.preset,
-                         batch_size=args.batch_size, optimizer=args.optimizer,
-                         noise_sigma=args.noise_sigma, seed=args.seed)
-    pipeline = HopePipeline(PipelineConfig(), seed=args.seed)
+                         batch_size=args.batch_size, noise_sigma=args.noise_sigma,
+                         seed=args.seed)
     log_path = args.log if args.log is not None else args.out_ckpt + "_log.csv"
+    for path in (manifest_path(args.out_ckpt), blob_path(args.out_ckpt), log_path):
+        _check_output_file(path)
+    pipeline = HopePipeline(PipelineConfig(), seed=args.seed)
     try:
         log = train_pipeline(pipeline, records, config)
     except TrainingDiverged as e:

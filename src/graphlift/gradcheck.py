@@ -32,18 +32,16 @@ class GradCheckReport:
 
 
 def grad_check(fn: Callable[[], Tensor], params: Mapping[str, Tensor],
-               eps: float = 1e-5, num_coords: int = 100,
-               rng: np.random.Generator | None = None) -> GradCheckReport:
+               eps: float = 1e-5, num_coords: int = 100, *,
+               rng: np.random.Generator) -> GradCheckReport:
     """Compare analytic gradients of a scalar-valued fn against central differences.
 
     fn must be deterministic and return a scalar Tensor computed from the
-    current values of `params`.  A subset of coordinates is sampled without
-    replacement when the total exceeds num_coords; the step for each
+    current values of `params`.  When the total exceeds num_coords, a subset
+    of coordinates is drawn from `rng` without replacement; the step for each
     coordinate is scaled by its magnitude, h = eps * max(1, |x|).  A
     non-finite function value anywhere raises NumericError.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     if not (eps > 0 and math.isfinite(eps)):
         raise DomainError(f"eps must be a positive finite step, got {eps}")
     if num_coords < 1:

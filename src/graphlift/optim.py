@@ -1,10 +1,9 @@
-"""Optimizers and learning-rate schedules.
+"""Adam and its learning-rate schedule.
 
-Parameters are plain Tensors updated in place from their .grad buffers.
-SGD and Adam share one surface: build with a name-to-Tensor map, then
-call step(lr) once per backward pass.  The schedule is a step decay: the
-rate is multiplied by a fixed factor every fixed number of optimizer
-steps.
+Parameters are plain Tensors updated in place from their .grad buffers:
+build Adam with a name-to-Tensor map, then call step(lr) once per
+backward pass.  The schedule is a step decay: the rate is multiplied by
+a fixed factor every fixed number of optimizer steps.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .tensor import Tensor
 
-__all__ = ["SgdSchedule", "SGD", "Adam"]
+__all__ = ["SgdSchedule", "Adam"]
 
 
 @dataclass(frozen=True)
@@ -42,33 +41,6 @@ class SgdSchedule:
         return self.initial_lr * self.decay_factor ** (step // self.decay_every)
 
 
-def _check_step(kind: str, params: Mapping[str, Tensor], lr: float) -> None:
-    if not (lr > 0):
-        raise DomainError(f"learning rate must be positive, got {lr}")
-    for k, p in params.items():
-        if p.grad is None:
-            raise UsageError(f"{kind}.step: parameter {k} has no gradient; "
-                             "run backward() first")
-
-
-class SGD:
-    """Vanilla gradient descent: p -= lr * p.grad.
-
-    Every parameter must carry an accumulated gradient (a missing one is
-    a usage error, raised before anything is updated); grads are zeroed
-    after the update.
-    """
-
-    def __init__(self, params: Mapping[str, Tensor]):
-        self.params = dict(params)
-
-    def step(self, lr: float) -> None:
-        _check_step("SGD", self.params, lr)
-        for p in self.params.values():
-            p.data -= lr * p.grad
-            p.grad = None
-
-
 # Adam's moment decay rates b1, b2 and denominator guard eps.
 _BETA1 = 0.9
 _BETA2 = 0.999
@@ -80,10 +52,11 @@ _ADAM_BLOCK = 1 << 15
 
 
 class Adam:
-    """Adam with bias correction, selectable instead of plain SGD.
+    """Adam with bias correction.
 
     State is keyed by parameter name, so one instance must be reused for
-    the whole run.  Like SGD, a missing gradient is a usage error and
+    the whole run.  Every parameter must carry an accumulated gradient (a
+    missing one is a usage error, raised before anything is updated);
     gradients are zeroed after the update.
 
     step() updates the moments and the parameter in place, one flat slice
@@ -105,7 +78,12 @@ class Adam:
         self._scratch = (np.empty(width), np.empty(width))
 
     def step(self, lr: float) -> None:
-        _check_step("Adam", self.params, lr)
+        if not (lr > 0):
+            raise DomainError(f"learning rate must be positive, got {lr}")
+        for k, p in self.params.items():
+            if p.grad is None:
+                raise UsageError(f"Adam.step: parameter {k} has no gradient; "
+                                 "run backward() first")
         self.t += 1
         bc1 = 1.0 - _BETA1 ** self.t
         bc2 = 1.0 - _BETA2 ** self.t

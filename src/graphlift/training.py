@@ -15,12 +15,13 @@ decay trajectory keeps its shape.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericError, TrainingDiverged
-from .optim import SGD, Adam, SgdSchedule
+from .optim import Adam, SgdSchedule
 from .outputs import rewrite_in_place
 from .pipeline import HopeLossWeights, HopePipeline, hope_loss_terms
 from .synth import SampleRecord, add_noise, records_to_arrays
@@ -45,13 +46,11 @@ class TrainConfig:
     stage_epochs: tuple = PRESET_EPOCHS["desk"]
     preset: str = "desk"
     batch_size: int = 32
-    optimizer: str = "adam"     # 'adam' | 'sgd'; mm^2-scale losses blow up plain
-                                # SGD at the stock 0.001 rate, so adam is the default
     noise_sigma: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "stage_epochs", tuple(int(e) for e in self.stage_epochs))
+        object.__setattr__(self, "stage_epochs", tuple(map(operator.index, self.stage_epochs)))
         if self.preset not in PRESET_EPOCHS:
             raise DomainError(f"unknown preset {self.preset!r}; expected one of "
                               f"{sorted(PRESET_EPOCHS)}")
@@ -60,8 +59,6 @@ class TrainConfig:
                               f"got {self.stage_epochs}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be positive, got {self.batch_size}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise DomainError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise DomainError(f"noise_sigma must be finite and non-negative, "
                               f"got {self.noise_sigma}")
@@ -116,11 +113,11 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[lo:lo + batch_size]
 
 
-def _run_stage(log: TrainingLog, stage: int, params, optimizer: str, loss_fn,
-               n: int, epochs: int, batch_size: int, rng: np.random.Generator,
-               literal_steps: bool, on_step=None) -> None:
-    """The one optimizer loop every stage runs, on the stage's schedule;
-    it numbers its steps on from the rows already in the log.
+def _run_stage(log: TrainingLog, stage: int, params, loss_fn, n: int,
+               config: TrainConfig, on_step=None) -> None:
+    """The one Adam loop every stage runs, for the stage's epochs and on
+    its schedule from `config`; it numbers its steps on from the rows
+    already in the log.  A stage of 0 epochs does nothing.
 
     loss_fn(idx) gives the scalar loss of a batch of sample indices plus
     the log columns it fills ({column: scalar Tensor}).  The finite check
@@ -131,12 +128,18 @@ def _run_stage(log: TrainingLog, stage: int, params, optimizer: str, loss_fn,
     on_step(step, params) runs right after each backward pass, before
     the optimizer update.
     """
-    opt = Adam(params) if optimizer == "adam" else SGD(params)
-    schedule = stage_schedule(stage, epochs, math.ceil(n / batch_size), literal_steps)
+    epochs = config.stage_epochs[stage - 1]
+    if epochs == 0:
+        return
+    opt = Adam(params)
+    schedule = stage_schedule(stage, epochs, math.ceil(n / config.batch_size),
+                              config.preset == "paper")
+    # each stage shuffles on its own stream: [seed, 11], [seed, 1], [seed, 33]
+    rng = np.random.default_rng([config.seed, (11, 1, 33)[stage - 1]])
     step = len(log.rows)
     t = 0
     for _ in range(epochs):
-        for idx in _batches(n, batch_size, rng):
+        for idx in _batches(n, config.batch_size, rng):
             step += 1
             try:
                 loss, columns = loss_fn(idx)
@@ -158,13 +161,12 @@ def _run_stage(log: TrainingLog, stage: int, params, optimizer: str, loss_fn,
                     **{c: v.item() for c, v in columns.items()})
 
 
-def _stage2_loss(model, gt2d: np.ndarray, gt3d: np.ndarray, noise_sigma: float,
-                 seed: int):
+def _stage2_loss(model, gt2d: np.ndarray, gt3d: np.ndarray, config: TrainConfig):
     """Stage-2 batch loss: noisy gt2d -> gt3d MSE of a 2D->3D model."""
-    noise_rng = np.random.default_rng([seed, 2])
+    noise_rng = np.random.default_rng([config.seed, 2])
 
     def loss_fn(idx):
-        inputs = add_noise(gt2d[idx], noise_sigma, noise_rng)
+        inputs = add_noise(gt2d[idx], config.noise_sigma, noise_rng)
         loss = mse(model.forward(inputs), gt3d[idx])
         return loss, {"loss_3d": loss}
 
@@ -174,7 +176,7 @@ def _stage2_loss(model, gt2d: np.ndarray, gt3d: np.ndarray, noise_sigma: float,
 def train_unet_stage2(model, records: list[SampleRecord], epochs: int,
                       batch_size: int = 32, noise_sigma: float = 10.0,
                       seed: int = 0, on_step=None) -> TrainingLog:
-    """Train a 2D->3D node model with Adam on (noisy gt2d -> gt3d) pairs.
+    """Train a 2D->3D node model as stage 2 runs, on (noisy gt2d -> gt3d) pairs.
 
     Works for any model exposing forward(x)->Tensor over (B, 29, 2)
     inputs and parameters().  on_step(step, params) runs right after each
@@ -182,13 +184,12 @@ def train_unet_stage2(model, records: list[SampleRecord], epochs: int,
     """
     if not records:
         raise DomainError("empty dataset")
-    if batch_size < 1 or epochs < 0:
-        raise DomainError(f"need batch_size >= 1 and epochs >= 0, got {batch_size}, {epochs}")
+    config = TrainConfig(stage_epochs=(0, epochs, 0), batch_size=batch_size,
+                         noise_sigma=noise_sigma, seed=seed)
     gt2d, gt3d = records_to_arrays(records)
     log = TrainingLog()
-    loss_fn = _stage2_loss(model, gt2d, gt3d, noise_sigma, seed)
-    _run_stage(log, 2, model.parameters(), "adam", loss_fn, len(gt2d), epochs, batch_size,
-               np.random.default_rng([seed, 1]), False, on_step)
+    _run_stage(log, 2, model.parameters(), _stage2_loss(model, gt2d, gt3d, config),
+               len(gt2d), config, on_step)
     return log
 
 
@@ -207,13 +208,6 @@ def train(pipeline: HopePipeline, records: list[SampleRecord],
     log = TrainingLog()
     w = HopeLossWeights()
 
-    def run(stage, params, loss_fn, stream):
-        epochs = config.stage_epochs[stage - 1]
-        if epochs > 0:
-            _run_stage(log, stage, params, config.optimizer, loss_fn, n, epochs,
-                       config.batch_size, np.random.default_rng([config.seed, stream]),
-                       config.preset == "paper")
-
     # stage 1: stub + 2D refinement on the 2D losses
     def stage1_loss(idx):
         features, init2d = pipeline.stub.encode_batch(gt2d[idx])
@@ -222,11 +216,11 @@ def train(pipeline: HopePipeline, records: list[SampleRecord],
         l_2d = mse(refined, gt2d[idx])
         return l_init * w.alpha + l_2d * w.beta, {"loss_init2d": l_init, "loss_2d": l_2d}
 
-    run(1, pipeline.stub_refine_parameters(), stage1_loss, 11)
+    _run_stage(log, 1, pipeline.stub_refine_parameters(), stage1_loss, n, config)
 
     # stage 2: U-Net alone on noisy gt2d -> gt3d
-    run(2, pipeline.unet.parameters(),
-        _stage2_loss(pipeline.unet, gt2d, gt3d, config.noise_sigma, config.seed), 1)
+    _run_stage(log, 2, pipeline.unet.parameters(),
+               _stage2_loss(pipeline.unet, gt2d, gt3d, config), n, config)
 
     # stage 3: end to end on the weighted three-term loss
     def stage3_loss(idx):
@@ -235,7 +229,7 @@ def train(pipeline: HopePipeline, records: list[SampleRecord],
             init2d, refined, pred3d, gt2d[idx], gt3d[idx], w)
         return total, {"loss_init2d": l_init, "loss_2d": l_2d, "loss_3d": l_3d}
 
-    run(3, pipeline.parameters(), stage3_loss, 33)
+    _run_stage(log, 3, pipeline.parameters(), stage3_loss, n, config)
     return log
 
 

@@ -11,14 +11,14 @@ import warnings
 import numpy as np
 import pytest
 
-from graphlift import ablation
+from graphlift import ablation, cli
 from graphlift.checkpoint import load_checkpoint, save_checkpoint
 from graphlift.cli import main
 from graphlift.metrics import PcpCurve, auc
 from graphlift.keypoints import NODE_NAMES
 from graphlift.models import FcBaselineModel, load_model, save_model
-from graphlift.synth import load_dataset
-from graphlift.training import LOG_COLUMNS
+from graphlift.synth import load_dataset, save_dataset
+from graphlift.training import LOG_COLUMNS, TrainingLog
 from graphlift.unet import GraphUNetModel, UNetConfig
 
 
@@ -136,19 +136,44 @@ def test_train_rejects_bad_stage_epochs(dataset, tmp_path):
 
 
 def test_train_divergence_exits_3_with_last_good_state(dataset, tmp_path, capsys):
+    # one gt3d at 1e200 mm is finite, but its squared error overflows the 3D loss
+    records = load_dataset(dataset)
+    records[0].gt3d *= 1e200
+    data = str(tmp_path / "overflowing.jsonl")
+    save_dataset(data, records)
     base = str(tmp_path / "ck")
     with warnings.catch_warnings():
         # the finite check, not a numpy warning, must report the divergence
         warnings.simplefilter("error", RuntimeWarning)
-        rc = main(["train", "--data", dataset, "--out-ckpt", base,
-                   "--stage-epochs", "2,2,2", "--batch-size", "16",
-                   "--optimizer", "sgd", "--seed", "0"])
+        rc = main(["train", "--data", data, "--out-ckpt", base,
+                   "--stage-epochs", "2,2,2", "--batch-size", "16", "--seed", "0"])
     assert rc == 3
     assert "diverged" in capsys.readouterr().err
-    assert os.path.exists(base + "_log.csv")
+    header, rows = read_csv(base + "_log.csv")
+    assert [r[header.index("stage")] for r in rows] == ["1"] * 4
     saved = load_model(base)
     for p in saved.parameters().values():
         assert np.all(np.isfinite(p.data))
+
+
+@pytest.mark.parametrize("out_ckpt, log", [
+    ("ck", "nodir/x/log.csv"), ("ck", "adir"), ("afile/ck", None),
+], ids=["log directory missing", "log is a directory", "checkpoint parent is a file"])
+def test_train_bad_output_path_exits_2_before_training(
+        dataset, tmp_path, monkeypatch, capsys, out_ckpt, log):
+    calls = []
+    monkeypatch.setattr(cli, "train_pipeline",
+                        lambda *args: calls.append(args) or TrainingLog())
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
+    argv = ["train", "--data", dataset, "--out-ckpt", str(tmp_path / out_ckpt),
+            "--stage-epochs", "1,1,1", "--batch-size", "16"]
+    if log is not None:
+        argv += ["--log", str(tmp_path / log)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("data error")
+    assert calls == []
+    assert not [p for p in tmp_path.rglob("*") if p.suffix in (".json", ".bin")]
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])

@@ -14,7 +14,8 @@ def test_linear_layer_tight_tolerance():
     w = Tensor(rng.normal(size=(6, 4)), requires_grad=True, name="w")
     x = Tensor(rng.normal(size=(5, 6)))
     t = rng.normal(size=(5, 4))
-    report = grad_check(lambda: mse(matmul(x, w), t), {"w": w}, eps=1e-5)
+    report = grad_check(lambda: mse(matmul(x, w), t), {"w": w}, eps=1e-5,
+                        rng=np.random.default_rng(0))
     assert report.max_rel_err < 1e-6
     assert report.num_checked == 24
 
@@ -26,7 +27,7 @@ def test_relu_network_passes():
     x = Tensor(rng.normal(size=(7, 5)))
     t = rng.normal(size=(7, 2))
     report = grad_check(lambda: mse(matmul(relu(matmul(x, w1)), w2), t),
-                        {"w1": w1, "w2": w2}, eps=1e-5)
+                        {"w1": w1, "w2": w2}, eps=1e-5, rng=np.random.default_rng(0))
     assert report.ok(1e-4)
 
 
@@ -37,7 +38,7 @@ def test_broken_gradient_is_caught():
         # The gradient should be 2 * w.
         return _record(np.asarray((w.data ** 2).sum()), (w, lambda g: g * 3.0 * w.data))
 
-    report = grad_check(wrong_grad, {"w": w}, eps=1e-5)
+    report = grad_check(wrong_grad, {"w": w}, eps=1e-5, rng=np.random.default_rng(0))
     assert report.max_rel_err > 0.1
     assert report.worst_param == "w"
     assert not report.ok()
@@ -49,7 +50,7 @@ def test_non_contiguous_parameter_is_perturbed_in_place():
     w = Tensor(rng.normal(size=(3, 4)).T, requires_grad=True, name="w")
     assert not w.data.flags.c_contiguous
     before = w.data.copy()
-    report = grad_check(lambda: (w * w).sum(), {"w": w})
+    report = grad_check(lambda: (w * w).sum(), {"w": w}, rng=np.random.default_rng(0))
     assert report.num_checked == 12
     assert report.max_rel_err < 1e-6
     np.testing.assert_array_equal(w.data, before)
@@ -57,13 +58,14 @@ def test_non_contiguous_parameter_is_perturbed_in_place():
 
 def test_coordinate_sampling_bound():
     w = Tensor(np.zeros((10, 10)), requires_grad=True, name="w")
-    report = grad_check(lambda: (w * w).sum(), {"w": w}, num_coords=17)
+    report = grad_check(lambda: (w * w).sum(), {"w": w}, num_coords=17,
+                        rng=np.random.default_rng(0))
     assert report.num_checked == 17
 
 
 def test_worst_index_is_reported():
     w = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True, name="w")
-    report = grad_check(lambda: (w * w).sum(), {"w": w})
+    report = grad_check(lambda: (w * w).sum(), {"w": w}, rng=np.random.default_rng(0))
     assert report.num_checked == 3 and report.worst_param == "w"
     assert report.worst_index in {(0,), (1,), (2,)}
 
@@ -75,17 +77,18 @@ def test_non_finite_function_raises():
         return _record(np.asarray(np.nan), (w, lambda g: None))
 
     with pytest.raises(NumericError):
-        grad_check(nan_fn, {"w": w})
+        grad_check(nan_fn, {"w": w}, rng=np.random.default_rng(0))
 
 
 def test_parameter_validation():
     w = Tensor(np.array([1.0]), requires_grad=True, name="w")
     with pytest.raises(DomainError):
-        grad_check(lambda: (w * w).sum(), {})
+        grad_check(lambda: (w * w).sum(), {}, rng=np.random.default_rng(0))
     with pytest.raises(DomainError):
-        grad_check(lambda: (w * w).sum(), {"w": w}, eps=0.0)
+        grad_check(lambda: (w * w).sum(), {"w": w}, eps=0.0, rng=np.random.default_rng(0))
     with pytest.raises(DomainError):
-        grad_check(lambda: (w * w).sum(), {"w": w}, num_coords=0)
+        grad_check(lambda: (w * w).sum(), {"w": w}, num_coords=0,
+                   rng=np.random.default_rng(0))
 
 
 def test_deterministic_under_rng():
@@ -93,6 +96,8 @@ def test_deterministic_under_rng():
     rng_b = np.random.default_rng(9)
     w = Tensor(np.arange(1.0, 201.0).reshape(10, 20), requires_grad=True, name="w")
     fn = lambda: (w * w).sum()
+    with pytest.raises(TypeError):          # rng is a required keyword
+        grad_check(fn, {"w": w}, 1e-5, 50, rng_a)
     ra = grad_check(fn, {"w": w}, num_coords=50, rng=rng_a)
     rb = grad_check(fn, {"w": w}, num_coords=50, rng=rng_b)
     assert ra.max_rel_err == rb.max_rel_err

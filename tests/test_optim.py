@@ -7,7 +7,7 @@ import pytest
 
 from graphlift import optim
 from graphlift.errors import DomainError, UsageError
-from graphlift.optim import SGD, Adam, SgdSchedule
+from graphlift.optim import Adam, SgdSchedule
 from graphlift.pipeline import HopePipeline, PipelineConfig
 from graphlift.tensor import Tensor
 
@@ -37,41 +37,6 @@ def test_schedule_validation():
         SgdSchedule(0.1, 0.9, 0)
     with pytest.raises(DomainError):
         SgdSchedule(0.1).lr_at(-1)
-
-
-def test_sgd_step_updates_and_zeroes():
-    p = Tensor([1.0, 2.0], requires_grad=True, name="p")
-    p.grad = np.array([10.0, -10.0])
-    SGD({"p": p}).step(0.1)
-    np.testing.assert_allclose(p.data, [0.0, 3.0])
-    assert p.grad is None
-
-
-def test_sgd_step_uses_schedule_step():
-    p = Tensor([1.0], requires_grad=True)
-    p.grad = np.array([1.0])
-    SGD({"p": p}).step(SgdSchedule(1.0, 0.5, 10).lr_at(20))
-    np.testing.assert_allclose(p.data, [0.75])
-
-
-def test_sgd_step_missing_grad_is_usage_error():
-    p = Tensor([1.0], requires_grad=True, name="w")
-    q = Tensor([1.0], requires_grad=True, name="frozen")
-    p.grad = np.array([1.0])
-    with pytest.raises(UsageError):
-        SGD({"w": p, "frozen": q}).step(0.1)
-    # nothing was updated before the error surfaced
-    np.testing.assert_array_equal(p.data, [1.0])
-
-
-def test_sgd_step_rejects_non_positive_lr():
-    p = Tensor([1.0], requires_grad=True, name="p")
-    p.grad = np.array([1.0])
-    opt = SGD({"p": p})
-    for lr in (0.0, -0.1, float("nan")):
-        with pytest.raises(DomainError):
-            opt.step(lr)
-    np.testing.assert_array_equal(p.data, [1.0])
 
 
 def test_adam_first_step_is_signed_lr():

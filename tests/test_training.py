@@ -3,6 +3,7 @@ divergence contract."""
 
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,8 +44,8 @@ def test_train_config_validation():
         TrainConfig(stage_epochs=(1, 2))
     with pytest.raises(DomainError):
         TrainConfig(batch_size=0)
-    with pytest.raises(DomainError):
-        TrainConfig(optimizer="rmsprop")
+    with pytest.raises(TypeError):
+        TrainConfig(stage_epochs=(1.5, 0, 0))
     for sigma in (-1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             TrainConfig(noise_sigma=sigma)
@@ -206,12 +207,15 @@ def test_train_rejects_empty():
 
 def test_divergence_raises_with_partial_log(records):
     pipe = HopePipeline(SMALL_PIPE, seed=0)
-    # plain SGD at the stock lr blows up on the mm^2-scale stage-2 loss
-    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as exc_info:
-        train(pipe, records, TrainConfig(stage_epochs=(1, 50, 1), batch_size=8,
-                                         optimizer="sgd"))
+    # one gt3d at 1e200 mm is finite, but its squared error overflows the 3D loss:
+    # stage 1 trains on 2D only, stage 2 diverges on the first batch that holds it
+    overflowing = [replace(records[0], gt3d=records[0].gt3d * 1e200)] + records[1:]
+    with pytest.raises(TrainingDiverged) as exc_info:
+        train(pipe, overflowing, TrainConfig(stage_epochs=(1, 50, 1), batch_size=8))
     err = exc_info.value
-    assert err.log.rows, "partial log should be attached"
+    assert "at stage 2" in str(err)
+    stages = [r[1] for r in err.log.rows]      # the partial log is attached
+    assert stages[:4] == [1, 1, 1, 1] and set(stages[4:]) <= {2}, stages
     assert all(np.isfinite(total) for *_, total in err.log.rows)
     for p in pipe.parameters().values():
         assert np.all(np.isfinite(p.data))
