@@ -175,8 +175,7 @@ def _check_output_file(path: str) -> None:
     """Raise, before any work, the error that writing the file `path` would raise."""
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
-        raise (NotADirectoryError if os.path.exists(parent) else FileNotFoundError)(
-            f"cannot write {path}: {parent} is not a directory")
+        raise NotADirectoryError(f"cannot write {path}: {parent} is not a directory")
     if os.path.isdir(path):
         raise IsADirectoryError(f"cannot write {path}: it is a directory")
 
@@ -188,6 +187,7 @@ def cmd_train(args) -> int:
                          batch_size=args.batch_size, noise_sigma=args.noise_sigma,
                          seed=args.seed)
     log_path = args.log if args.log is not None else args.out_ckpt + "_log.csv"
+    os.makedirs(os.path.dirname(os.path.abspath(args.out_ckpt)), exist_ok=True)
     for path in (manifest_path(args.out_ckpt), blob_path(args.out_ckpt), log_path):
         _check_output_file(path)
     pipeline = HopePipeline(PipelineConfig(), seed=args.seed)

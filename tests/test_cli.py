@@ -176,6 +176,16 @@ def test_train_bad_output_path_exits_2_before_training(
     assert not [p for p in tmp_path.rglob("*") if p.suffix in (".json", ".bin")]
 
 
+def test_train_creates_missing_checkpoint_directory(dataset, tmp_path, monkeypatch):
+    # the default log lands next to the checkpoint, in the directory train makes
+    monkeypatch.setattr(cli, "train_pipeline", lambda *args: TrainingLog())
+    base = str(tmp_path / "runs" / "deeper" / "ck")
+    assert main(["train", "--data", dataset, "--out-ckpt", base]) == 0
+    for suffix in (".json", ".bin", "_log.csv"):
+        assert os.path.isfile(base + suffix)
+    load_model(base)
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
 def test_train_rejects_non_finite_noise_sigma(dataset, tmp_path, sigma):
     base = str(tmp_path / "ck")

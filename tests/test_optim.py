@@ -60,13 +60,22 @@ def test_adam_state_persists_across_steps():
 
 
 def test_adam_missing_grad_and_bad_lr():
-    p = Tensor([0.0], requires_grad=True, name="p")
-    opt = Adam({"p": p})
+    a = Tensor([1.0, 2.0], requires_grad=True, name="a")
+    b = Tensor([3.0], requires_grad=True, name="b")
+    opt = Adam({"a": a, "b": b})
+    a.grad = np.array([0.5, -0.5])
+    # b has no gradient, so the step raises before it updates a
     with pytest.raises(UsageError):
         opt.step(0.1)
-    p.grad = np.array([1.0])
-    with pytest.raises(DomainError):
-        opt.step(0.0)
+    b.grad = np.array([1.0])
+    for lr in (0.0, -0.1, float("nan")):
+        with pytest.raises(DomainError):
+            opt.step(lr)
+    np.testing.assert_array_equal(a.data, [1.0, 2.0])
+    np.testing.assert_array_equal(b.data, [3.0])
+    assert opt.t == 0
+    opt.step(0.1)
+    assert opt.t == 1 and a.data[0] < 1.0 and b.data[0] < 3.0
 
 
 # ---- the blocked in-place Adam update --------------------------------------
