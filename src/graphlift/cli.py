@@ -10,7 +10,6 @@ lines; errors always go to stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -22,7 +21,7 @@ from .errors import (
     CheckpointFormatError, DatasetFormatError, DegenerateGeometryError,
     DomainError, NumericError, TrainingDiverged, UsageError,
 )
-from .gradcheck import grad_check
+from .gradcheck import TOLERANCE, grad_check
 from .layers import AdaptiveGraphConvLayer, GPoolLayer, NodeMap, partition_matrix, uniform_init
 from .metrics import auc, curve_to_csv, default_thresholds, pcp_curve, per_joint_errors
 from .models import load_model, save_model
@@ -69,15 +68,6 @@ def _int_list(text: str) -> tuple:
     return tuple(int(s) for s in text.split(","))
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of a tolerance or a sweep limit: finite and above zero."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number above zero, got {text!r}")
-    return value
-
-
 def _build_parser() -> _Parser:
     p = _Parser(prog="graphlift",
                 description="Synthetic hand-object keypoint lifting: data "
@@ -116,8 +106,6 @@ def _build_parser() -> _Parser:
     e.add_argument("--data", required=True, help="evaluation dataset (.jsonl)")
     e.add_argument("--ckpt", required=True, help="checkpoint base path")
     e.add_argument("--report", required=True, help="output directory for CSVs")
-    e.add_argument("--threshold-limit", type=_positive_float, default=50.0,
-                   help="PCP threshold sweep upper end (default 50)")
     e.set_defaults(func=cmd_eval)
 
     a = sub.add_parser("ablate", help="run an ablation suite",
@@ -143,12 +131,6 @@ def _build_parser() -> _Parser:
                                    "differences and report the worst parameter.")
     c.add_argument("--target", choices=("layers", "unet", "pipeline"),
                    default="layers", help="what to check (default layers)")
-    c.add_argument("--tol", type=_positive_float, default=1e-4,
-                   help="max relative error to pass (default 1e-4)")
-    c.add_argument("--eps", type=float, default=1e-5,
-                   help="finite-difference step scale (default 1e-5)")
-    c.add_argument("--coords", type=int, default=100,
-                   help="sampled coordinates per check (default 100)")
     c.add_argument("--seed", type=_seed, default=0, help="default 0")
     c.set_defaults(func=cmd_gradcheck)
 
@@ -181,14 +163,18 @@ def _check_output_file(path: str) -> None:
 
 
 def cmd_train(args) -> int:
+    log_path = args.log if args.log is not None else args.out_ckpt + "_log.csv"
+    outputs = (manifest_path(args.out_ckpt), blob_path(args.out_ckpt), log_path)
+    if len({os.path.realpath(p) for p in outputs + (args.data,)}) < 4:
+        raise UsageError(f"--data, --log, {outputs[0]} and {outputs[1]} must be "
+                         "four different files")
     records = load_dataset(args.data)
     epochs = PRESET_EPOCHS[args.preset] if args.stage_epochs is None else args.stage_epochs
     config = TrainConfig(stage_epochs=epochs, preset=args.preset,
                          batch_size=args.batch_size, noise_sigma=args.noise_sigma,
                          seed=args.seed)
-    log_path = args.log if args.log is not None else args.out_ckpt + "_log.csv"
     os.makedirs(os.path.dirname(os.path.abspath(args.out_ckpt)), exist_ok=True)
-    for path in (manifest_path(args.out_ckpt), blob_path(args.out_ckpt), log_path):
+    for path in outputs:
         _check_output_file(path)
     pipeline = HopePipeline(PipelineConfig(), seed=args.seed)
     try:
@@ -211,7 +197,7 @@ def cmd_eval(args) -> int:
     model = load_model(args.ckpt)
     os.makedirs(args.report, exist_ok=True)
     gt2d, gt3d = records_to_arrays(records)
-    thresholds = default_thresholds(args.threshold_limit)
+    thresholds = default_thresholds()
     summary: list[tuple[str, float]] = []
 
     if isinstance(model, HopePipeline):
@@ -335,14 +321,14 @@ def cmd_gradcheck(args) -> int:
     worst = 0.0
     failed = False
     for name, fn, params in _gradcheck_cases(args.target, args.seed):
-        report = grad_check(fn, params, eps=args.eps, num_coords=args.coords, rng=rng)
-        status = "pass" if report.ok(args.tol) else "FAIL"
+        report = grad_check(fn, params, rng=rng)
+        status = "pass" if report.ok() else "FAIL"
         print(f"{name:>14}: max rel err {report.max_rel_err:.3e} over "
               f"{report.num_checked} coords  worst {report.worst_param}"
               f"{[int(i) for i in report.worst_index]}  {status}")
         worst = max(worst, report.max_rel_err)
-        failed = failed or not report.ok(args.tol)
-    print(f"overall max relative error {worst:.3e} (tolerance {args.tol:g})")
+        failed = failed or not report.ok()
+    print(f"overall max relative error {worst:.3e} (tolerance {TOLERANCE:g})")
     return 3 if failed else 0
 
 

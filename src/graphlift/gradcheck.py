@@ -17,7 +17,10 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .tensor import Tensor
 
-__all__ = ["GradCheckReport", "grad_check"]
+__all__ = ["GradCheckReport", "grad_check", "TOLERANCE"]
+
+# A check passes when its largest relative error is below this.
+TOLERANCE = 1e-4
 
 
 @dataclass
@@ -27,7 +30,7 @@ class GradCheckReport:
     worst_param: str = ""
     worst_index: tuple = ()
 
-    def ok(self, tol: float = 1e-4) -> bool:
+    def ok(self, tol: float = TOLERANCE) -> bool:
         return self.max_rel_err < tol
 
 

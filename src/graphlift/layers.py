@@ -43,11 +43,6 @@ def prefixed(parts) -> dict[str, Tensor]:
             for k, v in module.parameters().items()}
 
 
-def _check_node_features(x: Tensor, n: int, what: str) -> None:
-    if x.ndim not in (2, 3) or x.shape[-2] != n:
-        raise DimensionError(f"{what} expects {n} node rows, got shape {x.shape}")
-
-
 class AdaptiveGraphConvLayer:
     """Y = act(A @ X @ W) with both the kernel A and the weights W trainable.
 
@@ -78,11 +73,6 @@ class AdaptiveGraphConvLayer:
 
     def _product(self, x: Tensor) -> Tensor:
         """X @ W for node features x."""
-        _check_node_features(x, self.n, "graph conv")
-        if x.shape[-1] != self.in_features:
-            raise DimensionError(
-                f"graph conv expects {self.in_features} input features, got {x.shape[-1]}"
-            )
         return matmul(x, self.W)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -150,7 +140,6 @@ class NodeMap:
         self.n_out, self.n_in = m.shape
 
     def forward(self, x: Tensor) -> Tensor:
-        _check_node_features(x, self.n_in, "node map")
         return matmul(self.matrix, x)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -181,11 +170,8 @@ class GPoolLayer:
         self.features = features
 
     def forward(self, x: Tensor) -> tuple[Tensor, np.ndarray]:
-        _check_node_features(x, self.n_in, "gpool")
-        if x.shape[-1] != self.features:
-            raise DimensionError(
-                f"gpool expects {self.features} features, got {x.shape[-1]}"
-            )
+        if x.ndim not in (2, 3) or x.shape[-2] != self.n_in:
+            raise DimensionError(f"gpool expects {self.n_in} node rows, got shape {x.shape}")
         squeeze = x.ndim == 2
         if squeeze:
             x = x.reshape(1, *x.shape)

@@ -1,14 +1,13 @@
-"""Adam and its learning-rate schedule.
+"""Adam, the one optimizer.
 
 Parameters are plain Tensors updated in place from their .grad buffers:
 build Adam with a name-to-Tensor map, then call step(lr) once per
-backward pass.  The schedule is a step decay: the rate is multiplied by
-a fixed factor every fixed number of optimizer steps.
+backward pass.  The caller owns the learning rate; the training stages
+step-decay it (training.stage_schedule).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -16,29 +15,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .tensor import Tensor
 
-__all__ = ["SgdSchedule", "Adam"]
-
-
-@dataclass(frozen=True)
-class SgdSchedule:
-    """Step decay: lr(step) = initial_lr * decay_factor ** (step // decay_every)."""
-
-    initial_lr: float
-    decay_factor: float = 1.0
-    decay_every: int = 1
-
-    def __post_init__(self):
-        if not (self.initial_lr > 0):
-            raise DomainError(f"initial_lr must be positive, got {self.initial_lr}")
-        if not (0 < self.decay_factor <= 1):
-            raise DomainError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
-        if int(self.decay_every) != self.decay_every or self.decay_every < 1:
-            raise DomainError(f"decay_every must be a positive integer, got {self.decay_every}")
-
-    def lr_at(self, step: int) -> float:
-        if step < 0:
-            raise DomainError(f"step must be non-negative, got {step}")
-        return self.initial_lr * self.decay_factor ** (step // self.decay_every)
+__all__ = ["Adam"]
 
 
 # Adam's moment decay rates b1, b2 and denominator guard eps.

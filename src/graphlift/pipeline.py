@@ -122,7 +122,6 @@ class RefineNet:
     """
 
     def __init__(self, config: PipelineConfig, rng: np.random.Generator):
-        self.config = config
         w0, w1 = config.refine_widths
         eye = np.eye(NUM_NODES)
         self.layers = [
@@ -133,11 +132,6 @@ class RefineNet:
 
     def forward(self, features: Tensor, init2d: Tensor) -> Tensor:
         """(B, feature_width) features and (B, 29, 2) estimates -> (B, 29, 2) pixels."""
-        cfg = self.config
-        if features.ndim != 2 or features.shape[-1] != cfg.feature_width:
-            raise DimensionError(
-                f"expected (B, {cfg.feature_width}) image features, got {features.shape}"
-            )
         if init2d.ndim != 3 or init2d.shape[1:] != (NUM_NODES, 2):
             raise DimensionError(f"expected (B, {NUM_NODES}, 2) estimates, got {init2d.shape}")
         scaled = (init2d - PIXEL_CENTER) * (1.0 / PIXEL_SCALE)

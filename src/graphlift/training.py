@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, TrainingDiverged
-from .optim import Adam, SgdSchedule
+from .optim import Adam
 from .outputs import rewrite_in_place
 from .pipeline import HopeLossWeights, HopePipeline, hope_loss_terms
 from .synth import SampleRecord, add_noise, records_to_arrays
@@ -65,8 +65,9 @@ class TrainConfig:
 
 
 def stage_schedule(stage: int, epochs: int, steps_per_epoch: int,
-                   literal_steps: bool = False) -> SgdSchedule:
-    """The lr schedule for one stage (1-based).
+                   literal_steps: bool = False) -> tuple[float, float, int]:
+    """One stage's (1-based) step decay as (initial lr, factor, period):
+    the lr at the stage's optimizer step t is lr0 * factor ** (t // period).
 
     literal_steps uses the decay period as raw optimizer steps, which
     is what the 'paper' preset wants; otherwise the period is rescaled
@@ -77,11 +78,10 @@ def stage_schedule(stage: int, epochs: int, steps_per_epoch: int,
         raise DomainError(f"stage must be 1, 2 or 3, got {stage}")
     lr0, factor, full_steps = STAGE_LR[stage - 1]
     if literal_steps:
-        return SgdSchedule(lr0, factor, full_steps)
+        return lr0, factor, full_steps
     full_epochs = PRESET_EPOCHS["paper"][stage - 1]
     period_epochs = full_steps * epochs / full_epochs
-    decay_every = max(1, round(period_epochs * steps_per_epoch))
-    return SgdSchedule(lr0, factor, decay_every)
+    return lr0, factor, max(1, round(period_epochs * steps_per_epoch))
 
 
 class TrainingLog:
@@ -132,8 +132,8 @@ def _run_stage(log: TrainingLog, stage: int, params, loss_fn, n: int,
     if epochs == 0:
         return
     opt = Adam(params)
-    schedule = stage_schedule(stage, epochs, math.ceil(n / config.batch_size),
-                              config.preset == "paper")
+    lr0, factor, period = stage_schedule(stage, epochs, math.ceil(n / config.batch_size),
+                                         config.preset == "paper")
     # each stage shuffles on its own stream: [seed, 11], [seed, 1], [seed, 33]
     rng = np.random.default_rng([config.seed, (11, 1, 33)[stage - 1]])
     step = len(log.rows)
@@ -154,7 +154,7 @@ def _run_stage(log: TrainingLog, stage: int, params, loss_fn, n: int,
             loss.backward()
             if on_step is not None:
                 on_step(step, params)
-            lr = schedule.lr_at(t)
+            lr = lr0 * factor ** (t // period)
             opt.step(lr)
             t += 1
             log.add(step, stage, lr, total=value,

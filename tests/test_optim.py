@@ -1,4 +1,4 @@
-"""Optimizer updates and the step-decay schedule."""
+"""Adam's updates."""
 
 import tracemalloc
 
@@ -7,36 +7,9 @@ import pytest
 
 from graphlift import optim
 from graphlift.errors import DomainError, UsageError
-from graphlift.optim import Adam, SgdSchedule
+from graphlift.optim import Adam
 from graphlift.pipeline import HopePipeline, PipelineConfig
 from graphlift.tensor import Tensor
-
-
-def test_schedule_closed_form():
-    s = SgdSchedule(0.001, 0.9, 100)
-    assert s.lr_at(0) == 0.001
-    assert s.lr_at(99) == 0.001
-    assert s.lr_at(100) == pytest.approx(0.0009)
-    assert s.lr_at(250) == pytest.approx(0.001 * 0.9 ** 2)
-    assert s.lr_at(4000) == pytest.approx(0.001 * 0.9 ** 40)
-
-
-def test_schedule_constant_when_factor_one():
-    s = SgdSchedule(0.01)
-    assert s.lr_at(12345) == 0.01
-
-
-def test_schedule_validation():
-    with pytest.raises(DomainError):
-        SgdSchedule(0.0)
-    with pytest.raises(DomainError):
-        SgdSchedule(0.1, 0.0)
-    with pytest.raises(DomainError):
-        SgdSchedule(0.1, 1.5)
-    with pytest.raises(DomainError):
-        SgdSchedule(0.1, 0.9, 0)
-    with pytest.raises(DomainError):
-        SgdSchedule(0.1).lr_at(-1)
 
 
 def test_adam_first_step_is_signed_lr():

@@ -52,26 +52,44 @@ def test_train_config_validation():
 
 
 def test_stage_schedule_literal_matches_stated_decays():
-    s1 = stage_schedule(1, epochs=5000, steps_per_epoch=10, literal_steps=True)
-    assert (s1.initial_lr, s1.decay_factor, s1.decay_every) == (0.001, 0.9, 100)
-    s2 = stage_schedule(2, epochs=10000, steps_per_epoch=10, literal_steps=True)
-    assert (s2.initial_lr, s2.decay_factor, s2.decay_every) == (0.001, 0.1, 4000)
-    s3 = stage_schedule(3, epochs=5000, steps_per_epoch=10, literal_steps=True)
-    assert (s3.initial_lr, s3.decay_factor, s3.decay_every) == (0.001, 0.9, 100)
-    assert s1.lr_at(0) == 0.001
-    assert abs(s1.lr_at(250) - 0.001 * 0.9**2) < 1e-18
+    assert stage_schedule(1, epochs=5000, steps_per_epoch=10,
+                          literal_steps=True) == (0.001, 0.9, 100)
+    assert stage_schedule(2, epochs=10000, steps_per_epoch=10,
+                          literal_steps=True) == (0.001, 0.1, 4000)
+    assert stage_schedule(3, epochs=5000, steps_per_epoch=10,
+                          literal_steps=True) == (0.001, 0.9, 100)
 
 
 def test_stage_schedule_compressed_keeps_decay_depth():
     # stage 2 at 200 epochs instead of 10000: the 4000-step period shrinks
     # by the same 50x, measured in this run's own steps
-    s = stage_schedule(2, epochs=200, steps_per_epoch=10)
-    assert s.decay_every == 800
+    lr0, factor, period = stage_schedule(2, epochs=200, steps_per_epoch=10)
+    assert (lr0, factor, period) == (0.001, 0.1, 800)
     # end-of-run decay depth matches the full-schedule trajectory shape:
     # 2000 steps / 800 = 2 decades begun, as 100000 / 4000 would at full scale
-    assert s.lr_at(1999) == pytest.approx(0.001 * 0.1**2)
+    assert lr0 * factor ** (1999 // period) == pytest.approx(0.001 * 0.1**2)
     with pytest.raises(DomainError):
         stage_schedule(4, 10, 10)
+
+
+@pytest.mark.parametrize("preset, stage_epochs, decays", [
+    # desk shrinks each period by epochs / paper epochs, in this run's steps:
+    # round(100 * 50/5000 * 2) = 2 and round(4000 * 10/10000 * 2) = 8
+    ("desk", (50, 10, 50), {1: (0.9, 2), 2: (0.1, 8), 3: (0.9, 2)}),
+    # paper counts the periods in raw steps; stage 1's 102 steps decay once
+    ("paper", (51, 2, 1), {1: (0.9, 100), 2: (0.1, 4000), 3: (0.9, 100)}),
+])
+def test_logged_lr_is_the_stage_step_decay(records, preset, stage_epochs, decays):
+    pipe = HopePipeline(SMALL_PIPE, seed=8)
+    # 8 samples at batch 4: 2 steps per epoch
+    log = train(pipe, records[:8], TrainConfig(stage_epochs=stage_epochs, preset=preset,
+                                               batch_size=4))
+    assert len(log.rows) == 2 * sum(stage_epochs)
+    for stage, (factor, period) in decays.items():
+        lrs = [lr for _, s, lr, *_ in log.rows if s == stage]
+        assert lrs == [0.001 * factor ** (t // period)
+                       for t in range(2 * stage_epochs[stage - 1])], stage
+    assert min(lr for _, s, lr, *_ in log.rows if s == 1) < 0.001
 
 
 # ---- the log ----------------------------------------------------------------
