@@ -162,12 +162,17 @@ def _check_output_file(path: str) -> None:
         raise IsADirectoryError(f"cannot write {path}: it is a directory")
 
 
+def _require_distinct(paths, message: str) -> None:
+    """A usage error when two of `paths` name one file (through links too)."""
+    if len({os.path.realpath(p) for p in paths}) < len(paths):
+        raise UsageError(message)
+
+
 def cmd_train(args) -> int:
     log_path = args.log if args.log is not None else args.out_ckpt + "_log.csv"
     outputs = (manifest_path(args.out_ckpt), blob_path(args.out_ckpt), log_path)
-    if len({os.path.realpath(p) for p in outputs + (args.data,)}) < 4:
-        raise UsageError(f"--data, --log, {outputs[0]} and {outputs[1]} must be "
-                         "four different files")
+    _require_distinct(outputs + (args.data,), f"--data, --log, {outputs[0]} and "
+                      f"{outputs[1]} must be four different files")
     records = load_dataset(args.data)
     epochs = PRESET_EPOCHS[args.preset] if args.stage_epochs is None else args.stage_epochs
     config = TrainConfig(stage_epochs=epochs, preset=args.preset,
@@ -192,7 +197,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+# The files eval writes into its --report directory, without ".csv".
+_EVAL_REPORTS = ("curve_2d", "curve_3d", "curve_3d_hand", "curve_3d_object",
+                 "per_joint", "summary")
+
+
 def cmd_eval(args) -> int:
+    out = {n: os.path.join(args.report, n + ".csv") for n in _EVAL_REPORTS}
+    _require_distinct([args.data, *out.values()],
+                      f"--data must not be one of the report files eval writes to {args.report}")
     records = load_dataset(args.data)
     model = load_model(args.ckpt)
     os.makedirs(args.report, exist_ok=True)
@@ -203,7 +216,7 @@ def cmd_eval(args) -> int:
     if isinstance(model, HopePipeline):
         refined2d, pred3d = pipeline_predictions(model, records)
         c2d = pcp_curve(refined2d, gt2d, thresholds)
-        curve_to_csv(c2d, os.path.join(args.report, "curve_2d.csv"))
+        curve_to_csv(c2d, out["curve_2d"])
         summary.append(("auc_2d", auc(c2d)))
         summary.append(("mean_error_2d_px", mean_keypoint_error(refined2d, gt2d)))
     else:
@@ -212,12 +225,12 @@ def cmd_eval(args) -> int:
     for subset in ("all", "hand", "object"):
         name = "curve_3d" if subset == "all" else f"curve_3d_{subset}"
         curve = pcp_curve(pred3d, gt3d, thresholds, subset=subset)
-        curve_to_csv(curve, os.path.join(args.report, name + ".csv"))
+        curve_to_csv(curve, out[name])
         summary.append((f"auc_3d_{subset}" if subset != "all" else "auc_3d",
                         auc(curve)))
 
     errs = per_joint_errors(pred3d, gt3d)
-    rewrite_in_place(os.path.join(args.report, "per_joint.csv"), "".join(
+    rewrite_in_place(out["per_joint"], "".join(
         ["node,name,mean_error_mm\n"]
         + [f"{i},{NODE_NAMES[i]},{float(v)!r}\n" for i, v in enumerate(errs["per_node"])]))
     summary.append(("mean_error_3d_mm", errs["all"]))
@@ -228,7 +241,7 @@ def cmd_eval(args) -> int:
     for f, v in errs["fingers"].items():
         summary.append((f"error_{f}_mm", v))
 
-    rewrite_in_place(os.path.join(args.report, "summary.csv"), "".join(
+    rewrite_in_place(out["summary"], "".join(
         ["metric,value\n"] + [f"{k},{v!r}\n" for k, v in summary]))
     _info(f"report written to {args.report} "
           f"(mean 3D error {errs['all']:.2f} mm)")
@@ -236,6 +249,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    runs_csv, summary_csv = (os.path.join(args.out_dir, f"{args.suite}_{name}.csv")
+                             for name in ("runs", "summary"))
+    _require_distinct([args.data, runs_csv, summary_csv],
+                      f"--data must not be {runs_csv} or {summary_csv}")
     records = load_dataset(args.data)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
@@ -243,8 +260,8 @@ def cmd_ablate(args) -> int:
                             unet_widths=args.widths)
     os.makedirs(args.out_dir, exist_ok=True)
     runs = run_ablation(args.suite, records, args.seeds, config, jobs=args.jobs)
-    write_runs_csv(runs, os.path.join(args.out_dir, f"{args.suite}_runs.csv"))
-    write_summary_csv(runs, os.path.join(args.out_dir, f"{args.suite}_summary.csv"))
+    write_runs_csv(runs, runs_csv)
+    write_summary_csv(runs, summary_csv)
     for r in runs:
         flag = "" if r.status == "ok" else f"  [{r.status}]"
         _info(f"{r.variant:>10}  seed {r.seed}  "

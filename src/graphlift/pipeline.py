@@ -4,7 +4,8 @@ image backbone, a 3-layer adaptive graph network that refines the initial
 
 The stub rasterizes the sample's ground-truth 2D keypoints onto a 32x32
 occupancy grid and applies trainable linear maps: grid -> 2048 features
--> 29x2 initial coordinates.  It keeps the cascade end-to-end trainable
+-> 29x2 initial coordinates; the grid -> features product reads only the
+rows of occupied cells.  It keeps the cascade end-to-end trainable
 without any image data.  Refinement consumes 2050-wide node features:
 the same 2048 image features at every node plus that node's initial 2D
 estimate.  Its first layer takes them packed per sample,
@@ -22,7 +23,7 @@ from .errors import DimensionError, DomainError
 from .layers import AdaptiveGraphConvLayer, SharedInputGraphConv, prefixed, uniform_init
 from .keypoints import NUM_NODES
 from .synth import IMAGE_SIZE
-from .tensor import Tensor, concat_features, matmul, mse
+from .tensor import Tensor, _record, concat_features, matmul, mse
 from .unet import PIXEL_CENTER, PIXEL_SCALE, GraphUNetModel, UNetConfig, without_constants
 
 __all__ = [
@@ -100,7 +101,15 @@ class StubFeatureProvider:
     def encode_batch(self, coords2d_batch) -> tuple[Tensor, Tensor]:
         """(B, 29, 2) ground-truth pixels -> features (B, 2048), init2d (B, 29, 2)."""
         raster = rasterize_keypoints(coords2d_batch, self.config.raster_grid)
-        features = matmul(Tensor(raster), self.W1)
+        # raster @ W1 over the occupied cells only; the rest are zero columns
+        cells = np.flatnonzero(raster.any(axis=0))
+        r, w1 = raster[:, cells], self.W1.data
+
+        def grad_w1(g):                     # raster.T @ g, zero at empty cells
+            out = np.zeros(w1.shape)
+            out[cells] = r.T @ g
+            return out
+        features = _record(r @ w1[cells], (self.W1, grad_w1))
         head = matmul(features, self.W2) + self.b2
         init2d = head.reshape(head.shape[0], NUM_NODES, 2) * PIXEL_SCALE
         return features, init2d

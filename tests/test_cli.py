@@ -302,6 +302,20 @@ def test_eval_report_path_that_is_a_file_exits_2(trained, dataset, tmp_path, cap
     assert "data error" in capsys.readouterr().err
 
 
+def test_eval_data_that_is_a_report_file_exits_1_before_reading(
+        trained, dataset, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("rep")
+    shutil.copy(dataset, "rep/summary.csv")
+    data = (tmp_path / "rep" / "summary.csv").read_bytes()
+    monkeypatch.setattr(cli, "load_dataset", lambda path: pytest.fail("data was read"))
+    assert main(["eval", "--data", "./rep/../rep/summary.csv", "--ckpt", trained,
+                 "--report", "rep"]) == 1
+    assert capsys.readouterr().err.startswith("usage error")
+    assert os.listdir("rep") == ["summary.csv"]
+    assert (tmp_path / "rep" / "summary.csv").read_bytes() == data
+
+
 def test_eval_unet_checkpoint_writes_3d_curves_over_the_fixed_sweep(
         unet_ckpt, dataset, tmp_path):
     report = str(tmp_path / "report")
@@ -374,6 +388,24 @@ def test_ablate_out_dir_that_is_a_file_exits_2(dataset, tmp_path, capsys):
     assert main(["ablate", "--suite", "pooling", "--data", dataset, "--out-dir", str(out),
                  "--seeds", "0", "--epochs", "1", "--widths", "4,8,8,16"]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", ["pooling_runs.csv", "pooling_summary.csv"])
+def test_ablate_data_that_is_an_output_table_exits_1_before_any_cell(
+        dataset, tmp_path, monkeypatch, capsys, table):
+    trained = []
+    monkeypatch.setattr(ablation, "train_unet_stage2",
+                        lambda *args, **kwargs: trained.append(args))
+    out = tmp_path / "r"
+    out.mkdir()
+    shutil.copy(dataset, out / table)
+    data = (out / table).read_bytes()
+    assert main(["ablate", "--suite", "pooling", "--data", str(out / table),
+                 "--out-dir", str(out), "--seeds", "0", "--epochs", "1"]) == 1
+    assert capsys.readouterr().err.startswith("usage error")
+    assert trained == []
+    assert os.listdir(out) == [table]
+    assert (out / table).read_bytes() == data
 
 
 def test_ablate_rejects_bad_arguments(dataset, tmp_path):

@@ -92,6 +92,51 @@ def test_stub_is_linear_in_raster(records):
                                atol=1e-12)
 
 
+def _stub_batches():
+    """Batches of 32: spread over the image, every keypoint in one cell, and
+    every coordinate beyond the image, clipped to the border cells."""
+    rng = np.random.default_rng(23)
+    spread = rng.uniform(0.0, 640.0, size=(32, 29, 2))
+    one_cell = np.full((32, 29, 2), 333.0) + rng.uniform(0.0, 5.0, size=(32, 29, 2))
+    clipped = rng.choice([-900.0, -1.0, 640.0, 1e9], size=(32, 29, 2))
+    return {"spread": spread, "one cell": one_cell, "clipped": clipped}
+
+
+@pytest.mark.parametrize("kind", ["spread", "one cell", "clipped"])
+def test_stub_reads_only_occupied_cells(kind):
+    coords = _stub_batches()[kind]
+    stub = HopePipeline(seed=4).stub
+    raster = rasterize_keypoints(coords)
+    empty = ~raster.any(axis=0)
+    assert empty.any()
+    features, _ = stub.encode_batch(coords)
+    # atol: a feature that sums ~0.03-sized weights to ~1e-6 keeps only the
+    # absolute accuracy of its terms, in either summation order
+    np.testing.assert_allclose(features.data, raster @ stub.W1.data, rtol=1e-12, atol=1e-15)
+    g = np.random.default_rng(24).normal(size=features.shape)
+    (features * Tensor(g)).sum().backward()
+    np.testing.assert_allclose(stub.W1.grad, raster.T @ g, rtol=1e-12, atol=1e-15)
+    assert not stub.W1.grad[empty].any()
+
+
+def test_stub_gradients_match_finite_differences():
+    cfg = PipelineConfig(feature_width=8, raster_grid=4)
+    stub = HopePipeline(cfg, seed=6).stub
+    rng = np.random.default_rng(25)
+    coords = rng.uniform(0.0, 640.0, size=(3, 29, 2))
+    coords[0] = 10.0                                  # one sample in one cell
+    t_f, t_2d = rng.normal(size=(3, 8)), rng.normal(scale=100.0, size=(3, 29, 2))
+
+    def loss():
+        features, init2d = stub.encode_batch(coords)
+        return mse(features, t_f) + mse(init2d, t_2d)
+
+    every = sum(p.size for p in stub.parameters().values())
+    report = grad_check(loss, stub.parameters(), num_coords=every,
+                        rng=np.random.default_rng(26))
+    assert report.num_checked == every and report.max_rel_err < 1e-6
+
+
 # ---- refinement network -----------------------------------------------------
 
 
