@@ -173,11 +173,11 @@ def cmd_train(args) -> int:
     outputs = (manifest_path(args.out_ckpt), blob_path(args.out_ckpt), log_path)
     _require_distinct(outputs + (args.data,), f"--data, --log, {outputs[0]} and "
                       f"{outputs[1]} must be four different files")
-    records = load_dataset(args.data)
     epochs = PRESET_EPOCHS[args.preset] if args.stage_epochs is None else args.stage_epochs
     config = TrainConfig(stage_epochs=epochs, preset=args.preset,
                          batch_size=args.batch_size, noise_sigma=args.noise_sigma,
                          seed=args.seed)
+    records = load_dataset(args.data)
     os.makedirs(os.path.dirname(os.path.abspath(args.out_ckpt)), exist_ok=True)
     for path in outputs:
         _check_output_file(path)
@@ -253,11 +253,11 @@ def cmd_ablate(args) -> int:
                              for name in ("runs", "summary"))
     _require_distinct([args.data, runs_csv, summary_csv],
                       f"--data must not be {runs_csv} or {summary_csv}")
-    records = load_dataset(args.data)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     config = AblationConfig(epochs=args.epochs, batch_size=args.batch_size,
                             unet_widths=args.widths)
+    records = load_dataset(args.data)
     os.makedirs(args.out_dir, exist_ok=True)
     runs = run_ablation(args.suite, records, args.seeds, config, jobs=args.jobs)
     write_runs_csv(runs, runs_csv)

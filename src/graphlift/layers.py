@@ -5,12 +5,13 @@ and unpooling, and the gPool baseline.
 All layers accept node-feature tensors shaped (n, k) or batched
 (B, n, k); the node axis is always second to last.  The one exception,
 SharedInputGraphConv, takes a packed (B, shared + n·own) row per sample
-and returns (B, n, out) node features.  Pooling and
-unpooling are one layer, NodeMap: the product M @ X along the node axis
-with a trainable matrix (P or U) or a constant group-mean/broadcast
-matrix from partition_matrix.  gPool (Gao & Ji, Graph U-Nets) is a
-separate layer because it gathers a data-dependent top-k subset of rows
-rather than applying a fixed-shape matrix.
+and returns (B, n, out) node features.  Every pooling and unpooling is
+a product M @ X along the node axis.  NodeMap applies one matrix to
+every sample: a trainable P or U, or a constant group-mean map from
+partition_matrix and its transposed support.  gPool (Gao & Ji, Graph
+U-Nets) picks a data-dependent top-k subset of rows per sample, so its
+M is the one-hot selection_matrix of that subset, built anew each
+forward pass; the transpose of the same matrix unpools.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .tensor import Tensor, _record, matmul, relu, sigmoid
 
 __all__ = [
     "AdaptiveGraphConvLayer", "SharedInputGraphConv", "NodeMap", "GPoolLayer",
-    "partition_matrix", "prefixed", "uniform_init",
+    "partition_matrix", "prefixed", "selection_matrix", "uniform_init",
 ]
 
 
@@ -151,14 +152,29 @@ class NodeMap:
 # ---- gPool baseline ------------------------------------------------------
 
 
+def selection_matrix(idx: np.ndarray, n: int) -> np.ndarray:
+    """One-hot rows shaped (..., k, n): out[..., i, idx[..., i]] = 1.
+
+    S @ X gathers the rows idx of X, and S.T @ Y places the rows of Y at
+    idx with zeros elsewhere.  Both are exact, since every output sums
+    one term times 1 and the rest times 0, and their gradients are the
+    same products, so a row picked twice collects both shares and an
+    unpicked row gets exactly 0.
+    """
+    s = np.zeros(idx.shape + (n,))
+    np.put_along_axis(s, idx[..., None], 1.0, axis=-1)
+    return s
+
+
 class GPoolLayer:
     """Top-k gated pooling with a trainable projection vector p.
 
     Scores are y = X p / |p|; the n_out best-scoring nodes are kept in
     score-descending order (equal scores keep the lowest index first) and
-    each kept row is scaled by sigmoid(score).  forward returns the pooled
-    rows and the selected indices, which the decoder uses to scatter
-    features back.  Accepts (n, k) or batched (B, n, k) input.
+    each kept row is scaled by sigmoid(score): S X * sigmoid(S y) with S
+    the selection_matrix of the kept indices.  forward returns the pooled
+    rows and those indices, from which the decoder rebuilds S to unpool
+    with S.T.  Accepts (n, k) or batched (B, n, k) input.
     """
 
     def __init__(self, n_in: int, n_out: int, features: int, rng: np.random.Generator):
@@ -172,92 +188,30 @@ class GPoolLayer:
     def forward(self, x: Tensor) -> tuple[Tensor, np.ndarray]:
         if x.ndim not in (2, 3) or x.shape[-2] != self.n_in:
             raise DimensionError(f"gpool expects {self.n_in} node rows, got shape {x.shape}")
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x.reshape(1, *x.shape)
         norm = (self.p * self.p).sum().sqrt()
-        scores = matmul(x, self.p) / norm                        # (B, n, 1)
-        flat = scores.data[..., 0]                               # (B, n)
-        order = np.argsort(-flat, axis=-1, kind="stable")
-        idx = order[:, :self.n_out]                              # (B, k)
-        gate = sigmoid(_gather_rows_batched(scores, idx))
-        pooled = _gather_rows_batched(x, idx) * gate
-        if squeeze:
-            pooled = pooled.reshape(self.n_out, self.features)
-            idx = idx[0]
-        return pooled, idx
+        scores = matmul(x, self.p) / norm                        # (..., n, 1)
+        order = np.argsort(-scores.data[..., 0], axis=-1, kind="stable")
+        idx = order[..., :self.n_out]                            # (..., k)
+        s = Tensor(selection_matrix(idx, self.n_in))
+        return matmul(s, x) * sigmoid(matmul(s, scores)), idx
 
     def parameters(self) -> dict[str, Tensor]:
         return {"p": self.p}
 
 
-def _gather_rows_batched(x: Tensor, idx: np.ndarray) -> Tensor:
-    """out[b, i, :] = x[b, idx[b, i], :] with gradient scatter.
-
-    The indices in each idx[b] must be distinct: the backward pass writes
-    by fancy-index assignment, which overwrites repeated rows instead of
-    summing them.  Top-k selections never repeat an index.
-    """
-    b = np.arange(idx.shape[0])[:, None]
-
-    def scatter(g):
-        buf = np.zeros_like(x.data)
-        buf[b, idx] = g
-        return buf
-    return _record(x.data[b, idx], (x, scatter))
-
-
-def scatter_rows_batched(x: Tensor, idx: np.ndarray, num_nodes: int) -> Tensor:
-    """Inverse of the batched gather: place rows at idx, zeros elsewhere.
-
-    Same precondition as _gather_rows_batched: the indices in each idx[b]
-    are distinct, or the assignment keeps only the last row written.
-    """
-    if x.ndim != 3:
-        raise DimensionError(f"scatter expects batched (B, k, f) input, got {x.shape}")
-    b = np.arange(idx.shape[0])[:, None]
-    buf = np.zeros((x.shape[0], num_nodes, x.shape[2]), dtype=np.float64)
-    buf[b, idx] = x.data
-    return _record(buf, (x, lambda g: g[b, idx]))
-
-
 # ---- constant maps for the fixed-grouping baseline ---------------------
 
 
-def _validate_partition(grouping, n_in: int) -> list[list[int]]:
-    groups = [list(g) for g in grouping]
-    seen: set[int] = set()
-    for g in groups:
-        if not g:
-            raise DomainError("empty group in partition")
-        for i in g:
-            if not (0 <= i < n_in):
-                raise DomainError(f"group index {i} out of range for {n_in} nodes")
-            if i in seen:
-                raise DomainError(f"node {i} appears in more than one group")
-            seen.add(i)
-    if len(seen) != n_in:
-        raise DomainError(f"partition covers {len(seen)} of {n_in} nodes")
-    return groups
+def partition_matrix(grouping, n_in: int) -> np.ndarray:
+    """The group-mean pooling map of a node partition, (n_groups x n_in):
+    row g holds 1/len(group g) at the group's members, so output node g
+    is its group's mean row.  Its support transposed, (M.T > 0) * 1.0, is
+    the matching unpooling map: each member copies its group's row.
 
-
-def partition_matrix(grouping, n_in: int, mode: str = "mean") -> np.ndarray:
-    """Constant node-map matrix for a node partition.
-
-    mode 'mean': (n_groups x n_in) row per group with 1/len(group) weights,
-    the pooling map (each output node is its group's mean row).
-    mode 'broadcast': its transpose pattern with unit weights, the matching
-    unpooling map (each member copies its group's row).
+    The grouping is not checked; the program builds these maps only from
+    keypoints.FIXED_POOL_GROUPS, whose tests check they are partitions.
     """
-    groups = _validate_partition(grouping, n_in)
-    if mode == "mean":
-        m = np.zeros((len(groups), n_in))
-        for gi, g in enumerate(groups):
-            m[gi, g] = 1.0 / len(g)
-        return m
-    if mode == "broadcast":
-        m = np.zeros((n_in, len(groups)))
-        for gi, g in enumerate(groups):
-            m[g, gi] = 1.0
-        return m
-    raise DomainError(f"unknown partition matrix mode {mode!r}")
+    m = np.zeros((len(grouping), n_in))
+    for gi, g in enumerate(grouping):
+        m[gi, list(g)] = 1.0 / len(g)
+    return m

@@ -11,8 +11,7 @@ broadcast operand's shape and adds it to a gradient; an op never does.
 Gradients are accumulated without buffers: backward() clears every
 gradient on the tape, the first contribution a tensor receives becomes
 its gradient as it is (often a view of another gradient, or a read-only
-broadcast view), and each later contribution allocates the sum.  A
-tensor that receives none gets zeros just before its own edges run.
+broadcast view), and each later contribution allocates the sum.
 No gradient is ever written in place, so views that alias each other
 are safe; callers must not write into .grad either.
 
@@ -181,11 +180,8 @@ class Tensor:
             node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            g = node.grad
-            if g is None:
-                g = node.grad = np.zeros_like(node.data)
             for p, grad_fn in node._edges:
-                _accumulate(p, _unbroadcast(grad_fn(g), p.data.shape))
+                _accumulate(p, _unbroadcast(grad_fn(node.grad), p.data.shape))
 
     # ---- arithmetic ----------------------------------------------------
 
@@ -291,8 +287,8 @@ def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic function."""
     x = Tensor._lift(x)
     d = x.data
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    s = np.where(d >= 0, 1.0, e) / (1.0 + e)
     return _record(s, (x, lambda g: g * s * (1.0 - s)))
 
 

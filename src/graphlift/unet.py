@@ -25,8 +25,8 @@ from .adjacency import ADJACENCY_INIT_VARIANTS, initial_adjacency
 from .errors import CheckpointFormatError, DimensionError, DomainError
 from .keypoints import FIXED_POOL_GROUPS, NODE_SCHEDULE, NUM_NODES
 from .layers import (AdaptiveGraphConvLayer, GPoolLayer, NodeMap, partition_matrix,
-                     prefixed, scatter_rows_batched, uniform_init)
-from .tensor import Tensor, concat_features
+                     prefixed, selection_matrix, uniform_init)
+from .tensor import Tensor, concat_features, matmul
 
 __all__ = ["UNetConfig", "GraphUNetModel", "lift_input", "without_constants",
            "POOLING_VARIANTS", "PIXEL_CENTER", "PIXEL_SCALE", "MM_SCALE"]
@@ -111,7 +111,7 @@ class GraphUNetModel:
         self.unpools = []
         self.dec_convs = []
         for i in reversed(range(levels)):
-            self.unpools.append(self._make_unpool(ns[i + 1], ns[i], rng))
+            self.unpools.append(self._make_unpool(self.pools[i], rng))
             self.dec_convs.append(AdaptiveGraphConvLayer(adj(ns[i]), fs[i] + fs[i + 1],
                                                          fs[i], "relu", rng))
         self.final = AdaptiveGraphConvLayer(adj(ns[0]), fs[0], 3, "linear", rng)
@@ -127,36 +127,36 @@ class GraphUNetModel:
             return NodeMap(uniform_init(rng, (n_out, n_in), n_in), "P")
         if self.config.pooling == "gpool":
             return GPoolLayer(n_in, n_out, width, rng)
-        groups = FIXED_POOL_GROUPS[(n_in, n_out)]
-        return NodeMap(partition_matrix(groups, n_in, "mean"), "P", trainable=False)
+        return NodeMap(partition_matrix(FIXED_POOL_GROUPS[(n_in, n_out)], n_in), "P",
+                       trainable=False)
 
-    def _make_unpool(self, n_in, n_out, rng):
+    def _make_unpool(self, pool, rng):
+        """The map back up through `pool`, from its n_out nodes to its n_in."""
         if self.config.pooling == "trainable":
-            return NodeMap(uniform_init(rng, (n_out, n_in), n_in), "U")
+            return NodeMap(uniform_init(rng, (pool.n_in, pool.n_out), pool.n_out), "U")
         if self.config.pooling == "gpool":
-            return None   # decoder scatters rows back to the recorded indices
-        groups = FIXED_POOL_GROUPS[(n_out, n_in)]
-        return NodeMap(partition_matrix(groups, n_out, "broadcast"), "U", trainable=False)
+            return None   # decoder unpools with the transposed selection matrix
+        return NodeMap((pool.matrix.data.T > 0) * 1.0, "U", trainable=False)
 
     def forward(self, coords2d) -> Tensor:
         """Lift (B, 29, 2) pixel keypoints to (B, 29, 3) millimeters."""
         gpool = self.config.pooling == "gpool"
         h = lift_input(coords2d)
-        skips, pool_indices = [], []
+        skips, selections = [], []
         levels = len(NODE_SCHEDULE) - 1
         for i in range(levels):
             h = self.enc_convs[i].forward(h)
             skips.append(h)
             if gpool:
                 h, idx = self.pools[i].forward(h)
-                pool_indices.append(idx)
+                selections.append(selection_matrix(idx, NODE_SCHEDULE[i]))
             else:
                 h = self.pools[i].forward(h)
         h = self.bottleneck.forward(h)
         for j in range(levels):
             lvl = levels - 1 - j
             if gpool:
-                h = scatter_rows_batched(h, pool_indices[lvl], NODE_SCHEDULE[lvl])
+                h = matmul(Tensor(np.swapaxes(selections[lvl], -1, -2)), h)
             else:
                 h = self.unpools[j].forward(h)
             h = concat_features([skips[lvl], h])

@@ -147,6 +147,21 @@ def test_train_rejects_bad_stage_epochs(dataset, tmp_path):
     assert main(base + ["--stage-epochs", "a,b,c"]) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["train", "--out-ckpt", "{tmp}/ck", "--batch-size", "0"],
+    ["train", "--out-ckpt", "{tmp}/ck", "--stage-epochs", "1,2"],
+    ["ablate", "--suite", "pooling", "--out-dir", "{tmp}/r", "--jobs", "0"],
+    ["ablate", "--suite", "pooling", "--out-dir", "{tmp}/r", "--epochs", "0"],
+    ["ablate", "--suite", "pooling", "--out-dir", "{tmp}/r", "--widths", "1,2"],
+], ids=["train-batch-size", "train-stage-epochs", "ablate-jobs", "ablate-epochs",
+        "ablate-widths"])
+def test_bad_flag_is_a_usage_error_before_the_data_is_read(tmp_path, capsys, flags):
+    argv = [a.format(tmp=tmp_path) for a in flags]
+    assert main(argv + ["--data", str(tmp_path / "missing.jsonl")]) == 1
+    assert capsys.readouterr().err.startswith("usage error")
+    assert not os.listdir(tmp_path)
+
+
 def test_train_divergence_exits_3_with_last_good_state(dataset, tmp_path, capsys):
     # one gt3d at 1e200 mm is finite, but its squared error overflows the 3D loss
     records = load_dataset(dataset)

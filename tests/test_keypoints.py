@@ -64,6 +64,7 @@ def test_fixed_pool_groups_are_partitions():
     for (n_in, n_out), groups in FIXED_POOL_GROUPS.items():
         flat = [i for g in groups for i in g]
         assert len(groups) == n_out
+        assert all(len(g) > 0 for g in groups)
         assert sorted(flat) == list(range(n_in))
 
 

@@ -8,9 +8,9 @@ from graphlift.gradcheck import grad_check
 from graphlift.keypoints import FIXED_POOL_GROUPS
 from graphlift.layers import (
     AdaptiveGraphConvLayer, GPoolLayer, NodeMap, SharedInputGraphConv,
-    _gather_rows_batched, partition_matrix, scatter_rows_batched, uniform_init,
+    partition_matrix, selection_matrix, uniform_init,
 )
-from graphlift.tensor import Tensor, mse
+from graphlift.tensor import Tensor, matmul, mse
 
 
 # ---- adaptive graph convolution -------------------------------------------
@@ -284,23 +284,26 @@ def test_gpool_gradient():
 
 
 def test_gather_scatter_rows_round_trip_and_gradients():
-    """Rows gathered at distinct indices scatter back to their places, and
-    both ops pass a gradient check.  Distinct indices are a precondition
-    (index assignment overwrites repeats), which top-k selection meets."""
+    """S @ X with the one-hot selection S gathers rows per sample, S.T puts
+    them back in their places, and the round trip passes a gradient check."""
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True, name="x")
     idx = np.array([[3, 1], [0, 4]])
-    picked = _gather_rows_batched(x, idx)
+    s = selection_matrix(idx, 5)
+    assert s.shape == (2, 2, 5)
+    np.testing.assert_array_equal(s[0], np.eye(5)[[3, 1]])
+    np.testing.assert_array_equal(selection_matrix(idx[1], 5), s[1])   # unbatched
+    picked = matmul(Tensor(s), x)
     np.testing.assert_array_equal(picked.data[0], x.data[0, [3, 1]])
     np.testing.assert_array_equal(picked.data[1], x.data[1, [0, 4]])
-    back = scatter_rows_batched(picked, idx, 5).data
+    st = Tensor(np.swapaxes(s, -1, -2))
+    back = matmul(st, picked).data
     np.testing.assert_array_equal(back[0, [3, 1]], x.data[0, [3, 1]])
     np.testing.assert_array_equal(back[0, [0, 2, 4]], 0.0)
     np.testing.assert_array_equal(back[1, [1, 2, 3]], 0.0)
     t = rng.normal(size=(2, 5, 3))
-    report = grad_check(lambda: mse(scatter_rows_batched(_gather_rows_batched(x, idx),
-                                                         idx, 5), t), {"x": x}, eps=1e-5,
-                        rng=np.random.default_rng(0))
+    report = grad_check(lambda: mse(matmul(st, matmul(Tensor(s), x)), t), {"x": x},
+                        eps=1e-5, rng=np.random.default_rng(0))
     assert report.max_rel_err < 1e-8
     # rows never gathered receive exactly zero gradient
     np.testing.assert_array_equal(x.grad[0, [0, 2, 4]], 0.0)
@@ -310,28 +313,17 @@ def test_gather_scatter_rows_round_trip_and_gradients():
 
 
 def test_partition_matrix_mean_and_broadcast():
-    groups = [[0, 1], [2]]
-    m = partition_matrix(groups, 3, "mean")
+    """The mean map, and its transposed support: the broadcast unpooling map."""
+    groups = [(0, 1), (2,)]
+    m = partition_matrix(groups, 3)
     np.testing.assert_array_equal(m, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-    b = partition_matrix(groups, 3, "broadcast")
-    np.testing.assert_array_equal(b, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-
-def test_partition_validation():
-    with pytest.raises(DomainError):
-        partition_matrix([[0, 1], [1, 2]], 3)        # overlap
-    with pytest.raises(DomainError):
-        partition_matrix([[0], [2]], 3)              # gap
-    with pytest.raises(DomainError):
-        partition_matrix([[0], []], 1)               # empty group
-    with pytest.raises(DomainError):
-        partition_matrix([[0, 5]], 2)                # out of range
+    np.testing.assert_array_equal((m.T > 0) * 1.0, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def test_fixed_pool_29_to_15_hand_oracle():
     groups = FIXED_POOL_GROUPS[(29, 15)]
     x = np.arange(29.0)[:, None] * np.array([1.0, 10.0])
-    out = NodeMap(partition_matrix(groups, 29, "mean"), "P", trainable=False).forward(Tensor(x))
+    out = NodeMap(partition_matrix(groups, 29), "P", trainable=False).forward(Tensor(x))
     assert out.shape == (15, 2)
     for gi, g in enumerate(groups):
         np.testing.assert_allclose(out.data[gi], x[list(g)].mean(axis=0))
@@ -339,8 +331,8 @@ def test_fixed_pool_29_to_15_hand_oracle():
 
 def test_fixed_pool_then_unpool_copies_group_rows():
     groups = [[0, 1], [2, 3]]
-    pool = NodeMap(partition_matrix(groups, 4, "mean"), "P", trainable=False)
-    unpool = NodeMap(partition_matrix(groups, 4, "broadcast"), "U", trainable=False)
+    pool = NodeMap(partition_matrix(groups, 4), "P", trainable=False)
+    unpool = NodeMap((pool.matrix.data.T > 0) * 1.0, "U", trainable=False)
     x = Tensor(np.arange(8.0).reshape(4, 2))
     up = unpool.forward(pool.forward(x))
     np.testing.assert_array_equal(up.data[0], up.data[1])
@@ -350,7 +342,7 @@ def test_fixed_pool_then_unpool_copies_group_rows():
 
 def test_fixed_layers_have_no_parameters():
     groups = [[0], [1]]
-    pool = NodeMap(partition_matrix(groups, 2, "mean"), "P", trainable=False)
-    unpool = NodeMap(partition_matrix(groups, 2, "broadcast"), "U", trainable=False)
+    pool = NodeMap(partition_matrix(groups, 2), "P", trainable=False)
+    unpool = NodeMap((pool.matrix.data.T > 0) * 1.0, "U", trainable=False)
     assert pool.parameters() == {} and unpool.parameters() == {}
     assert not pool.matrix.requires_grad and not unpool.matrix.requires_grad

@@ -7,7 +7,7 @@ import pytest
 
 from graphlift.errors import DimensionError, NumericError
 from graphlift.gradcheck import grad_check
-from graphlift.layers import _gather_rows_batched, scatter_rows_batched
+from graphlift.layers import selection_matrix
 from graphlift.tensor import (
     Tensor, _record, _unbroadcast, concat_features, matmul, mse, no_grad, relu,
     sigmoid,
@@ -242,26 +242,28 @@ def test_diamond_graph_accumulates():
 
 
 def test_gather_nodes_selects_and_accumulates():
-    """Node-row gather on the batched op.  Indices within one gather are
-    distinct (index assignment overwrites repeats); a row gathered by two
-    separate gathers accumulates both gradients."""
+    """Node-row gather as a product with a one-hot selection matrix: a row
+    gathered by two separate selections accumulates both gradients."""
     x = Tensor(np.arange(12.0).reshape(1, 4, 3), requires_grad=True)
-    out = _gather_rows_batched(x, np.array([[2, 0]]))
+    out = matmul(Tensor(selection_matrix(np.array([[2, 0]]), 4)), x)
     np.testing.assert_array_equal(out.data[0, 1], x.data[0, 0])
     np.testing.assert_array_equal(out.data[0, 0], x.data[0, 2])
-    (out.sum() + _gather_rows_batched(x, np.array([[2]])).sum()).backward()
+    again = matmul(Tensor(selection_matrix(np.array([[2]]), 4)), x)
+    (out.sum() + again.sum()).backward()
     # row 2 was gathered twice, rows 1 and 3 never
     np.testing.assert_array_equal(x.grad[0, :, 0], [1.0, 0.0, 2.0, 0.0])
 
 
 def test_scatter_nodes_inverse_of_gather():
+    """The transposed selection places rows at the picked indices, zeros
+    elsewhere; the selection itself gathers them back."""
     x = Tensor(np.arange(6.0).reshape(1, 2, 3), requires_grad=True)
-    idx = np.array([[3, 1]])
-    out = scatter_rows_batched(x, idx, 5)
+    s = selection_matrix(np.array([[3, 1]]), 5)
+    out = matmul(Tensor(np.swapaxes(s, -1, -2)), x)
     assert out.shape == (1, 5, 3)
     np.testing.assert_array_equal(out.data[0, 3], x.data[0, 0])
-    np.testing.assert_array_equal(out.data[0, 0], 0.0)
-    np.testing.assert_array_equal(_gather_rows_batched(out, idx).data, x.data)
+    np.testing.assert_array_equal(out.data[0, [0, 2, 4]], 0.0)
+    np.testing.assert_array_equal(matmul(Tensor(s), out).data, x.data)
     out.sum().backward()
     np.testing.assert_array_equal(x.grad, np.ones((1, 2, 3)))
 

@@ -133,14 +133,27 @@ def test_pooling_parameters_receive_gradient(pooling):
                 assert np.any(p.grad != 0.0), f"seed {seed}: {name} grad all zero"
 
 
-def test_gradients_match_finite_differences():
-    model = GraphUNetModel(UNetConfig(feature_schedule=(4, 4, 4, 4)), seed=12)
+@pytest.mark.parametrize("pooling", ["trainable", "gpool", "fixed"])
+def test_gradients_match_finite_differences(pooling):
+    # widths that keep every ReLU level alive (see above), so gradients reach
+    # gPool's projections; the fixed maps are constants and checked through
+    # the encoder parameters upstream of them
+    model = GraphUNetModel(UNetConfig(feature_schedule=(8, 16, 16, 32), pooling=pooling),
+                           seed=12)
     x = rand_input(seed=13)
     t = np.random.default_rng(14).normal(size=(1, 29, 3))
-    report = grad_check(lambda: mse(model.forward(x), t), model.parameters(),
+    params = model.parameters()
+    report = grad_check(lambda: mse(model.forward(x), t), params,
                         eps=1e-5, num_coords=120,
                         rng=np.random.default_rng(15))
     assert report.max_rel_err < 1e-4
+    pools = {k: p for k, p in params.items() if "pool" in k}
+    if pools:
+        report = grad_check(lambda: mse(model.forward(x), t), pools,
+                            eps=1e-5, num_coords=60, rng=np.random.default_rng(16))
+        assert report.max_rel_err < 1e-4
+        for name, p in pools.items():
+            assert np.any(p.grad != 0.0), f"{name} grad all zero"
 
 
 def test_zeros_init_freezes_everything():
