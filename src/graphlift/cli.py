@@ -147,6 +147,7 @@ def _build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
+    _check_output_file(args.out)
     records = generate_dataset(args.n, args.seed)
     save_dataset(args.out, records)
     _info(f"wrote {len(records)} samples to {args.out}")

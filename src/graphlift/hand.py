@@ -9,6 +9,15 @@ offset (rotation in the palm plane) and the accumulated flexion (pitch
 out of the palm plane).  A wrist rotation Rz*Ry*Rx plus a translation
 place the hand in the camera frame (+z is depth).
 
+Poses are batched: every field of HandPoseParams may carry leading batch
+axes, and forward_kinematics and rotation_zyx compute a whole stack in
+one pass, with one pose as the batch of one.  Each joint's arithmetic
+is the same per-element sequence whatever the batch, so a pose gives the
+same bits alone or inside any stack.  synth.generate_dataset draws each
+sample's pose from that sample's own RNG stream and places the poses of
+every pending sample in one call; its datasets keep the bytes of earlier
+releases, which placed one pose at a time.
+
 Angle ranges (radians), validated by forward_kinematics:
   flexion  mcp [-0.5, 1.8], pip [-0.2, 2.2], dip [-0.2, 1.7]
   abduction    [-0.7, 0.7]
@@ -21,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 
 __all__ = ["HandPoseParams", "forward_kinematics", "rotation_zyx",
            "FLEXION_RANGES", "ABDUCTION_RANGE", "PALM_YAWS",
@@ -43,8 +52,18 @@ FLEXION_RANGES = ((-0.5, 1.8), (-0.2, 2.2), (-0.2, 1.7))
 ABDUCTION_RANGE = (-0.7, 0.7)
 
 
+# The trailing shape of each HandPoseParams field; any axes before it are batch axes.
+_FIELD_SHAPES = {"wrist_pos": (3,), "wrist_rot": (3,), "flexion": (5, 3), "abduction": (5,),
+                 "palm_lengths": (5,), "segment_lengths": (5, 3)}
+
+
 @dataclass
 class HandPoseParams:
+    """One pose, or a stack of poses when the fields carry leading batch axes.
+
+    The fields' batch axes broadcast against each other, so a stack of
+    wrist poses can share the default bone lengths.
+    """
     wrist_pos: np.ndarray = field(default_factory=lambda: np.zeros(3))
     wrist_rot: np.ndarray = field(default_factory=lambda: np.zeros(3))   # rx, ry, rz
     flexion: np.ndarray = field(default_factory=lambda: np.zeros((5, 3)))
@@ -53,35 +72,47 @@ class HandPoseParams:
     segment_lengths: np.ndarray = field(default_factory=lambda: DEFAULT_SEGMENT_LENGTHS.copy())
 
     def __post_init__(self):
-        self.wrist_pos = np.asarray(self.wrist_pos, dtype=np.float64).reshape(3)
-        self.wrist_rot = np.asarray(self.wrist_rot, dtype=np.float64).reshape(3)
-        self.flexion = np.asarray(self.flexion, dtype=np.float64).reshape(5, 3)
-        self.abduction = np.asarray(self.abduction, dtype=np.float64).reshape(5)
-        self.palm_lengths = np.asarray(self.palm_lengths, dtype=np.float64).reshape(5)
-        self.segment_lengths = np.asarray(self.segment_lengths, dtype=np.float64).reshape(5, 3)
+        batches = []
+        for name, shape in _FIELD_SHAPES.items():
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if value.shape[value.ndim - len(shape):] != shape:
+                raise DimensionError(f"{name} must end in shape {shape}, got {value.shape}")
+            setattr(self, name, value)
+            batches.append(value.shape[:value.ndim - len(shape)])
+        try:
+            batch = np.broadcast_shapes(*batches)
+        except ValueError:
+            raise DimensionError(f"pose fields have incompatible batch shapes {batches}") from None
+        for name, shape in _FIELD_SHAPES.items():
+            if getattr(self, name).shape != batch + shape:   # read-only views only where needed
+                setattr(self, name, np.broadcast_to(getattr(self, name), batch + shape))
 
 
 def rotation_zyx(angles) -> np.ndarray:
-    """Rz(rz) @ Ry(ry) @ Rx(rx) for angles (rx, ry, rz)."""
-    rx, ry, rz = np.asarray(angles, dtype=np.float64).reshape(3)
-    cx, sx = np.cos(rx), np.sin(rx)
-    cy, sy = np.cos(ry), np.sin(ry)
-    cz, sz = np.cos(rz), np.sin(rz)
-    rot_x = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    rot_y = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    rot_z = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+    """Rz(rz) @ Ry(ry) @ Rx(rx) for angles (..., 3) = (rx, ry, rz); shape (..., 3, 3)."""
+    angles = np.asarray(angles, dtype=np.float64)
+    cx, cy, cz = np.moveaxis(np.cos(angles), -1, 0)
+    sx, sy, sz = np.moveaxis(np.sin(angles), -1, 0)
+    one, zero = np.ones_like(cx), np.zeros_like(cx)
+
+    def matrix(*entries):
+        return np.stack(entries, axis=-1).reshape(cx.shape + (3, 3))
+
+    rot_x = matrix(one, zero, zero, zero, cx, -sx, zero, sx, cx)
+    rot_y = matrix(cy, zero, sy, zero, one, zero, -sy, zero, cy)
+    rot_z = matrix(cz, -sz, zero, sz, cz, zero, zero, zero, one)
     return rot_z @ rot_y @ rot_x
 
 
-def _direction(yaw: float, pitch: float) -> np.ndarray:
-    """Unit vector at heading `yaw` in the palm plane, pitched out of it."""
+def _direction(yaw, pitch) -> np.ndarray:
+    """Unit vectors (..., 3) at heading `yaw` in the palm plane, pitched out of it."""
     cp = np.cos(pitch)
-    return np.array([np.cos(yaw) * cp, np.sin(yaw) * cp, -np.sin(pitch)])
+    return np.stack([np.cos(yaw) * cp, np.sin(yaw) * cp, -np.sin(pitch)], axis=-1)
 
 
 def _validate(params: HandPoseParams) -> None:
     for j, (lo, hi) in enumerate(FLEXION_RANGES):
-        col = params.flexion[:, j]
+        col = params.flexion[..., j]
         if np.any(col < lo) or np.any(col > hi):
             raise DomainError(
                 f"flexion angle {j} out of range [{lo}, {hi}]: {col}"
@@ -98,21 +129,21 @@ def _validate(params: HandPoseParams) -> None:
 
 
 def forward_kinematics(params: HandPoseParams) -> np.ndarray:
-    """Joint positions (21, 3) in mm: wrist, then MCP/PIP/DIP/TIP per finger."""
+    """Joint positions (..., 21, 3) in mm: wrist, then MCP/PIP/DIP/TIP per finger.
+
+    One bad pose anywhere in a stack raises DomainError for the whole stack.
+    """
     _validate(params)
-    rot = rotation_zyx(params.wrist_rot)
-    joints = np.zeros((21, 3))
-    joints[0] = params.wrist_pos
-    for f in range(5):
-        yaw = PALM_YAWS[f]
-        pos = params.palm_lengths[f] * _direction(yaw, 0.0)
-        local = [pos.copy()]
-        seg_yaw = yaw + params.abduction[f]
-        pitch = 0.0
-        for s in range(3):
-            pitch += params.flexion[f, s]
-            pos = pos + params.segment_lengths[f, s] * _direction(seg_yaw, pitch)
-            local.append(pos.copy())
-        for j, p in enumerate(local):
-            joints[1 + 4 * f + j] = params.wrist_pos + rot @ p
-    return joints
+    batch = params.wrist_pos.shape[:-1]
+    pos = params.palm_lengths[..., None] * _direction(PALM_YAWS, np.zeros(5))
+    seg_yaw = PALM_YAWS + params.abduction
+    local = [pos]                          # per joint along the finger: (..., 5, 3)
+    pitch = 0.0
+    for s in range(3):
+        pitch = pitch + params.flexion[..., s]
+        pos = pos + params.segment_lengths[..., s, None] * _direction(seg_yaw, pitch)
+        local.append(pos)
+    local = np.stack(local, axis=-2).reshape(batch + (20, 3, 1))   # finger-major, like the joints
+    rot = rotation_zyx(params.wrist_rot)[..., None, :, :]
+    placed = params.wrist_pos[..., None, :] + (rot @ local)[..., 0]
+    return np.concatenate([params.wrist_pos[..., None, :], placed], axis=-2)

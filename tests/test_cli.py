@@ -80,6 +80,17 @@ def test_gen_out_under_a_file_exits_2(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["nodir/x.jsonl", "adir"],
+                         ids=["directory missing", "out is a directory"])
+def test_gen_bad_output_path_exits_2_before_generating(tmp_path, monkeypatch, capsys, out):
+    calls = []
+    monkeypatch.setattr(cli, "generate_dataset", lambda *args: calls.append(args) or [])
+    (tmp_path / "adir").mkdir()
+    assert main(["gen", "--n", "10", "--seed", "1", "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.startswith("data error")
+    assert calls == []
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     out = tmp_path / "x.jsonl"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -4,7 +4,7 @@ chain, plus pose validation."""
 import numpy as np
 import pytest
 
-from graphlift.errors import DomainError
+from graphlift.errors import DimensionError, DomainError
 from graphlift.hand import (
     ABDUCTION_RANGE, DEFAULT_PALM_LENGTHS, DEFAULT_SEGMENT_LENGTHS,
     FLEXION_RANGES, HandPoseParams, PALM_YAWS, forward_kinematics,
@@ -136,3 +136,52 @@ def test_angle_range_validation():
         forward_kinematics(HandPoseParams(palm_lengths=[38.0, 90.0, -95.0, 88.0, 80.0]))
     with pytest.raises(DomainError):
         forward_kinematics(HandPoseParams(wrist_pos=[np.nan, 0.0, 0.0]))
+
+
+def stacked_poses(shape):
+    """Poses of random_pose with per-pose bone scales, stacked to shape + field shape."""
+    poses = [random_pose(seed) for seed in range(int(np.prod(shape)))]
+    for k, p in enumerate(poses):
+        p.palm_lengths = p.palm_lengths * (0.9 + 0.05 * k)
+        p.segment_lengths = p.segment_lengths * (1.1 - 0.05 * k)
+    fields = ("wrist_pos", "wrist_rot", "flexion", "abduction", "palm_lengths", "segment_lengths")
+    return HandPoseParams(**{
+        name: np.stack([getattr(p, name) for p in poses]).reshape(shape + getattr(poses[0], name).shape)
+        for name in fields})
+
+
+def test_a_stack_of_poses_equals_the_per_item_calls():
+    params = stacked_poses((2, 3))
+    joints = forward_kinematics(params)
+    rots = rotation_zyx(params.wrist_rot)
+    assert joints.shape == (2, 3, 21, 3) and rots.shape == (2, 3, 3, 3)
+    for idx in np.ndindex(2, 3):
+        one = HandPoseParams(params.wrist_pos[idx], params.wrist_rot[idx], params.flexion[idx],
+                             params.abduction[idx], params.palm_lengths[idx],
+                             params.segment_lengths[idx])
+        assert joints[idx].tobytes() == forward_kinematics(one).tobytes()
+        assert rots[idx].tobytes() == rotation_zyx(params.wrist_rot[idx]).tobytes()
+
+
+def test_pose_fields_broadcast_over_the_batch():
+    wrists = np.random.default_rng(9).uniform(-100, 100, size=(4, 3))
+    joints = forward_kinematics(HandPoseParams(wrist_pos=wrists))
+    for w, j in zip(wrists, joints, strict=True):
+        assert j.tobytes() == forward_kinematics(HandPoseParams(wrist_pos=w)).tobytes()
+    with pytest.raises(DimensionError):
+        HandPoseParams(wrist_pos=np.zeros((4, 3)), flexion=np.zeros((3, 5, 3)))
+    with pytest.raises(DimensionError):
+        HandPoseParams(flexion=np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("name, index, value", [
+    ("flexion", (1, 2, 3, 0), 1.9), ("flexion", (0, 0, 1, 2), -0.3), ("abduction", (1, 1, 4), -0.8),
+])
+def test_one_out_of_range_angle_in_a_stack_raises(name, index, value):
+    params = stacked_poses((2, 3))
+    forward_kinematics(params)
+    bad = getattr(params, name).copy()
+    bad[index] = value
+    setattr(params, name, bad)
+    with pytest.raises(DomainError):
+        forward_kinematics(params)

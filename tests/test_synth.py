@@ -8,10 +8,14 @@ import pytest
 
 from graphlift.errors import (DatasetFormatError, DegenerateGeometryError,
                               DimensionError, DomainError)
-from graphlift.hand import rotation_zyx
-from graphlift.synth import (DEPTH_RANGE, IMAGE_MARGIN, IMAGE_SIZE, Camera, SampleRecord,
-                             add_noise, generate_dataset, load_dataset, obb_from_points,
-                             project, records_to_arrays, save_dataset)
+from graphlift.hand import (DEFAULT_PALM_LENGTHS, DEFAULT_SEGMENT_LENGTHS, PALM_YAWS,
+                            rotation_zyx)
+from graphlift.keypoints import joint_type_indices
+from graphlift.synth import (BONE_SCALE_RANGE, BOX_OFFSET, BOX_SIZE_RANGE, CHUNK, DEPTH_RANGE,
+                             IMAGE_MARGIN, IMAGE_SIZE, MAX_TRIES, MIN_BOX_DIM_GAP,
+                             WRIST_DEPTH_RANGE, WRIST_LATERAL, WRIST_ROT_MAX, Camera,
+                             SampleRecord, add_noise, generate_dataset, load_dataset,
+                             obb_from_points, project, records_to_arrays, save_dataset)
 
 
 def cuboid_vertices(dims, center=(0.0, 0.0, 0.0), rot=np.eye(3)):
@@ -73,6 +77,34 @@ def test_obb_center_is_centroid_for_symmetric_cloud():
     verts = cuboid_vertices((40.0, 25.0, 10.0), center=(3.0, 4.0, 5.0))
     corners = obb_from_points(verts)
     np.testing.assert_allclose(corners.mean(axis=0), [3.0, 4.0, 5.0], atol=1e-9)
+
+
+def random_boxes(rng, shape):
+    """Rotated, shifted cuboids: vertices of shape shape + (8, 3), in front of the camera."""
+    return np.array([
+        cuboid_vertices(rng.uniform(20.0, 100.0, size=3),
+                        center=rng.uniform(-50.0, 50.0, size=3) + [0.0, 0.0, 500.0],
+                        rot=rotation_zyx(rng.uniform(-np.pi, np.pi, size=3)))
+        for _ in range(int(np.prod(shape)))
+    ]).reshape(shape + (8, 3))
+
+
+def test_obb_and_project_of_a_stack_equal_the_per_item_calls():
+    clouds = random_boxes(np.random.default_rng(4), (2, 3))
+    corners = obb_from_points(clouds)
+    uv = project(clouds)
+    assert corners.shape == (2, 3, 8, 3) and uv.shape == (2, 3, 8, 2)
+    for idx in np.ndindex(2, 3):
+        assert corners[idx].tobytes() == obb_from_points(clouds[idx]).tobytes()
+        assert uv[idx].tobytes() == project(clouds[idx]).tobytes()
+
+
+def test_one_flat_cloud_in_a_stack_raises():
+    clouds = random_boxes(np.random.default_rng(5), (4,))
+    obb_from_points(clouds)
+    clouds[2] = cuboid_vertices((4.0, 2.0, 0.0), center=(0.0, 0.0, 500.0))
+    with pytest.raises(DegenerateGeometryError):
+        obb_from_points(clouds)
 
 
 def test_obb_degenerate_and_invalid_inputs():
@@ -189,6 +221,157 @@ def test_generate_dataset_seeds_differ():
     assert not np.allclose(wrist_a, wrist_b, atol=1e-6)
     with pytest.raises(DomainError):
         generate_dataset(0, seed=0)
+
+
+# The one-sample-at-a-time generator of earlier releases, geometry
+# included: the oracle for the batched one, which must give the same bytes.
+
+
+def reference_rotation_zyx(angles):
+    rx, ry, rz = np.asarray(angles, dtype=np.float64).reshape(3)
+    cx, sx = np.cos(rx), np.sin(rx)
+    cy, sy = np.cos(ry), np.sin(ry)
+    cz, sz = np.cos(rz), np.sin(rz)
+    rot_x = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
+    rot_y = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
+    rot_z = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+    return rot_z @ rot_y @ rot_x
+
+
+def reference_direction(yaw, pitch):
+    cp = np.cos(pitch)
+    return np.array([np.cos(yaw) * cp, np.sin(yaw) * cp, -np.sin(pitch)])
+
+
+def reference_hand(rng):
+    """Draws one hand and places its 21 joints."""
+    scale = rng.uniform(*BONE_SCALE_RANGE)
+    wrist_pos = np.array([
+        rng.uniform(-WRIST_LATERAL, WRIST_LATERAL),
+        rng.uniform(-WRIST_LATERAL, WRIST_LATERAL),
+        rng.uniform(*WRIST_DEPTH_RANGE),
+    ])
+    rot = reference_rotation_zyx(rng.uniform(-WRIST_ROT_MAX, WRIST_ROT_MAX, size=3))
+    flexion = np.stack([
+        rng.uniform(0.15, 1.10, size=5),
+        rng.uniform(0.25, 1.30, size=5),
+        rng.uniform(0.10, 0.90, size=5),
+    ], axis=1)
+    abduction = rng.uniform(-0.20, 0.20, size=5)
+    palm_lengths = DEFAULT_PALM_LENGTHS * scale
+    segment_lengths = DEFAULT_SEGMENT_LENGTHS * scale
+    joints = np.zeros((21, 3))
+    joints[0] = wrist_pos
+    for f in range(5):
+        yaw = PALM_YAWS[f]
+        pos = palm_lengths[f] * reference_direction(yaw, 0.0)
+        local = [pos.copy()]
+        seg_yaw = yaw + abduction[f]
+        pitch = 0.0
+        for s in range(3):
+            pitch += flexion[f, s]
+            pos = pos + segment_lengths[f, s] * reference_direction(seg_yaw, pitch)
+            local.append(pos.copy())
+        for j, p in enumerate(local):
+            joints[1 + 4 * f + j] = wrist_pos + rot @ p
+    return joints
+
+
+def reference_box_vertices(rng, anchor):
+    while True:
+        dims = np.sort(rng.uniform(*BOX_SIZE_RANGE, size=3))
+        if np.all(np.diff(dims) >= MIN_BOX_DIM_GAP):
+            break
+    rot = reference_rotation_zyx(rng.uniform(0.0, np.pi, size=3))
+    center = anchor + rng.uniform(-BOX_OFFSET, BOX_OFFSET, size=3)
+    verts = np.zeros((8, 3))
+    for i in range(8):
+        signs = np.array([1.0 if i & (1 << a) else -1.0 for a in range(3)])
+        verts[i] = center + rot @ (signs * dims / 2.0)
+    return verts
+
+
+def reference_obb(pts):
+    centroid = pts.mean(axis=0)
+    centered = pts - centroid
+    cov = centered.T @ centered / pts.shape[0]
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals, kind="stable")[::-1]
+    axes = eigvecs[:, order].T
+    for a in range(2):
+        j = int(np.argmax(np.abs(axes[a])))
+        if axes[a, j] < 0:
+            axes[a] = -axes[a]
+    axes[2] = np.cross(axes[0], axes[1])
+    proj = centered @ axes.T
+    lo = proj.min(axis=0)
+    hi = proj.max(axis=0)
+    half = (hi - lo) / 2.0
+    mid = centroid + axes.T @ ((hi + lo) / 2.0)
+    corners = np.zeros((8, 3))
+    for i in range(8):
+        signs = np.array([1.0 if i & (1 << a) else -1.0 for a in range(3)])
+        corners[i] = mid + axes.T @ (signs * half)
+    return corners
+
+
+def reference_project(pts, camera=Camera()):
+    out = np.empty((pts.shape[0], 2))
+    out[:, 0] = camera.fx * pts[:, 0] / pts[:, 2] + camera.cx
+    out[:, 1] = camera.fy * pts[:, 1] / pts[:, 2] + camera.cy
+    return out
+
+
+def reference_sample(sample_id, rng):
+    """The sample and the number of attempts rejected before it."""
+    tips = joint_type_indices("tip")
+    for tries in range(MAX_TRIES):
+        hand = reference_hand(rng)
+        corners = reference_obb(reference_box_vertices(rng, hand[tips].mean(axis=0)))
+        gt3d = np.vstack([hand, corners])
+        z = gt3d[:, 2]
+        if z.min() < DEPTH_RANGE[0] or z.max() > DEPTH_RANGE[1]:
+            continue
+        gt2d = reference_project(gt3d)
+        if gt2d.min() < IMAGE_MARGIN or gt2d.max() > IMAGE_SIZE - IMAGE_MARGIN:
+            continue
+        return SampleRecord(id=sample_id, gt3d=gt3d, gt2d=gt2d,
+                            meta={"subject": "synth", "object": "box"}), tries
+    raise DomainError(f"no sample within bounds after {MAX_TRIES} tries")
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (40, 11), (500, 42), (2000, 7)])
+def test_generate_dataset_matches_the_per_sample_reference(n, seed):
+    expected = [reference_sample(i, np.random.default_rng([seed, i])) for i in range(n)]
+    records = generate_dataset(n, seed)
+    assert len(records) == n
+    for (ref, _), rec in zip(expected, records):
+        assert type(rec.id) is int and rec.id == ref.id
+        assert rec.gt3d.dtype == rec.gt2d.dtype == np.float64
+        assert rec.gt3d.tobytes() == ref.gt3d.tobytes()
+        assert rec.gt2d.tobytes() == ref.gt2d.tobytes()
+        assert rec.meta == ref.meta and rec.camera == ref.camera
+    rejected = sum(tries for _, tries in expected)
+    # the larger sets run the retry path: some samples need a second attempt
+    assert (rejected > 0) == (n >= 500)
+
+
+@pytest.fixture(scope="module")
+def over_two_chunks():
+    return generate_dataset(CHUNK + 40, seed=3)
+
+
+@pytest.mark.parametrize("k", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_generate_dataset_is_a_prefix_across_chunks(over_two_chunks, k):
+    for a, b in zip(over_two_chunks[:k], generate_dataset(k, seed=3), strict=True):
+        assert a.id == b.id
+        assert a.gt3d.tobytes() == b.gt3d.tobytes()
+        assert a.gt2d.tobytes() == b.gt2d.tobytes()
+
+
+def test_generated_records_own_their_arrays(over_two_chunks):
+    for r in over_two_chunks:
+        assert r.gt3d.base is None and r.gt2d.base is None
 
 
 def test_records_to_arrays_shapes():
