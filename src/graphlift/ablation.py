@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -169,13 +169,9 @@ def summarize(runs: list[AblationRun]) -> list[dict]:
 
 
 def write_summary_csv(runs: list[AblationRun], path) -> None:
-    rewrite_csv(path, [["variant", "mean_error_mm", "std_over_seeds"],
-                       *([row["variant"], repr(row["mean_error_mm"]),
-                          repr(row["std_over_seeds"])] for row in summarize(runs))])
+    cols = ("variant", "mean_error_mm", "std_over_seeds")
+    rewrite_csv(path, [cols, *([row[c] for c in cols] for row in summarize(runs))])
 
 
 def write_runs_csv(runs: list[AblationRun], path) -> None:
-    cols = ["suite", "variant", "seed", "status", "initial_error_mm", "mean_error_mm"]
-    rewrite_csv(path, [cols, *([r.suite, r.variant, r.seed, r.status,
-                                 repr(r.initial_error_mm), repr(r.mean_error_mm)]
-                                for r in runs)])
+    rewrite_csv(path, [[f.name for f in fields(AblationRun)], *map(astuple, runs)])

@@ -25,7 +25,7 @@ from .gradcheck import TOLERANCE, grad_check
 from .layers import AdaptiveGraphConvLayer, GPoolLayer, NodeMap, partition_matrix, uniform_init
 from .metrics import auc, curve_to_csv, default_thresholds, pcp_curve, per_joint_errors
 from .models import load_model, save_model
-from .outputs import rewrite_in_place
+from .outputs import rewrite_csv
 from .pipeline import HopePipeline, PipelineConfig, hope_loss_terms
 from .synth import generate_dataset, load_dataset, save_dataset, records_to_arrays
 from .tensor import Tensor, mse
@@ -231,9 +231,8 @@ def cmd_eval(args) -> int:
                         auc(curve)))
 
     errs = per_joint_errors(pred3d, gt3d)
-    rewrite_in_place(out["per_joint"], "".join(
-        ["node,name,mean_error_mm\n"]
-        + [f"{i},{NODE_NAMES[i]},{float(v)!r}\n" for i, v in enumerate(errs["per_node"])]))
+    rewrite_csv(out["per_joint"], [("node", "name", "mean_error_mm"),
+                                   *zip(range(len(NODE_NAMES)), NODE_NAMES, errs["per_node"])])
     summary.append(("mean_error_3d_mm", errs["all"]))
     summary.append(("mean_error_3d_hand_mm", errs["hand"]))
     summary.append(("mean_error_3d_object_mm", errs["object"]))
@@ -242,8 +241,7 @@ def cmd_eval(args) -> int:
     for f, v in errs["fingers"].items():
         summary.append((f"error_{f}_mm", v))
 
-    rewrite_in_place(out["summary"], "".join(
-        ["metric,value\n"] + [f"{k},{v!r}\n" for k, v in summary]))
+    rewrite_csv(out["summary"], [("metric", "value"), *summary])
     _info(f"report written to {args.report} "
           f"(mean 3D error {errs['all']:.2f} mm)")
     return 0
@@ -358,9 +356,8 @@ def cmd_export_adjacency(args) -> int:
         raise DomainError("checkpoint has no adaptive adjacency kernels")
     os.makedirs(args.out_dir, exist_ok=True)
     for name, a in sorted(adaptive.items()):
-        fname = name.replace(".", "_") + ".csv"
-        rewrite_in_place(os.path.join(args.out_dir, fname), "".join(
-            [f"{a.shape[0]}\n"] + [",".join(repr(float(v)) for v in row) + "\n" for row in a]))
+        path = os.path.join(args.out_dir, name.replace(".", "_") + ".csv")
+        rewrite_csv(path, [(a.shape[0],), *a.tolist()])
     _info(f"exported {len(adaptive)} adjacency kernels to {args.out_dir}")
     return 0
 
@@ -377,8 +374,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (DatasetFormatError, CheckpointFormatError, DegenerateGeometryError,
-            FileNotFoundError, IsADirectoryError, FileExistsError,
-            NotADirectoryError) as e:
+            OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -173,8 +173,8 @@ class GPoolLayer:
     score-descending order (equal scores keep the lowest index first) and
     each kept row is scaled by sigmoid(score): S X * sigmoid(S y) with S
     the selection_matrix of the kept indices.  forward returns the pooled
-    rows and those indices, from which the decoder rebuilds S to unpool
-    with S.T.  Accepts (n, k) or batched (B, n, k) input.
+    rows and S, (..., n_out, n_in), whose transpose the decoder unpools
+    with; S.argmax(-1) gives the kept indices.  Accepts (n, k) or (B, n, k).
     """
 
     def __init__(self, n_in: int, n_out: int, features: int, rng: np.random.Generator):
@@ -193,7 +193,7 @@ class GPoolLayer:
         order = np.argsort(-scores.data[..., 0], axis=-1, kind="stable")
         idx = order[..., :self.n_out]                            # (..., k)
         s = Tensor(selection_matrix(idx, self.n_in))
-        return matmul(s, x) * sigmoid(matmul(s, scores)), idx
+        return matmul(s, x) * sigmoid(matmul(s, scores)), s.data
 
     def parameters(self) -> dict[str, Tensor]:
         return {"p": self.p}

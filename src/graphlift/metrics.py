@@ -100,6 +100,5 @@ def per_joint_errors(preds, gts) -> dict:
 
 
 def curve_to_csv(curve: PcpCurve, path) -> None:
-    rewrite_csv(path, [["threshold", "fraction"],
-                       *([repr(float(t)), repr(float(f))]
-                         for t, f in zip(curve.thresholds, curve.fractions))])
+    rewrite_csv(path, [("threshold", "fraction"),
+                       *zip(curve.thresholds, curve.fractions)])

@@ -1,5 +1,8 @@
-"""The one writer of derived output files: eval reports, ablation tables,
-the training log and exported adjacency CSVs.
+"""The one writer of derived output files (eval reports, ablation tables,
+the training log, exported adjacency CSVs) and the owner of their one
+format: `rewrite_csv` renders rows of plain values as comma-separated,
+`\\n`-terminated lines, every float (Python or numpy) as its `repr`, `None`
+as an empty cell and ints through `str`.
 
 Each file is overwritten from byte 0 and only then cut to its new length.
 Opening with truncation would free every old block first, which costs
@@ -37,7 +40,7 @@ def rewrite_in_place(path, text: str) -> None:
 
 
 def rewrite_csv(path, rows) -> None:
-    """Rewrite `path` as the rows a `csv.writer` renders, `\\r\\n`-terminated."""
+    """Rewrite `path` as `rows` in the one format of the module docstring."""
     buf = io.StringIO(newline="")
-    csv.writer(buf).writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     rewrite_in_place(path, buf.getvalue())

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, TrainingDiverged
 from .optim import Adam
-from .outputs import rewrite_in_place
+from .outputs import rewrite_csv
 from .pipeline import HopeLossWeights, HopePipeline, hope_loss_terms
 from .synth import SampleRecord, add_noise, records_to_arrays
 from .tensor import mse, no_grad
@@ -99,12 +99,7 @@ class TrainingLog:
                         dtype=np.float64)
 
     def write_csv(self, path: str) -> None:
-        lines = [",".join(LOG_COLUMNS)]
-        for r in self.rows:
-            lines.append(",".join(
-                "" if v is None else (repr(v) if isinstance(v, float) else str(v))
-                for v in r))
-        rewrite_in_place(path, "\n".join(lines) + "\n")
+        rewrite_csv(path, [LOG_COLUMNS, *self.rows])
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):

@@ -25,7 +25,7 @@ from .adjacency import ADJACENCY_INIT_VARIANTS, initial_adjacency
 from .errors import CheckpointFormatError, DimensionError, DomainError
 from .keypoints import FIXED_POOL_GROUPS, NODE_SCHEDULE, NUM_NODES
 from .layers import (AdaptiveGraphConvLayer, GPoolLayer, NodeMap, partition_matrix,
-                     prefixed, selection_matrix, uniform_init)
+                     prefixed, uniform_init)
 from .tensor import Tensor, concat_features, matmul
 
 __all__ = ["UNetConfig", "GraphUNetModel", "lift_input", "without_constants",
@@ -142,14 +142,13 @@ class GraphUNetModel:
         """Lift (B, 29, 2) pixel keypoints to (B, 29, 3) millimeters."""
         gpool = self.config.pooling == "gpool"
         h = lift_input(coords2d)
-        skips, selections = [], []
+        skips, selections = [], {}
         levels = len(NODE_SCHEDULE) - 1
         for i in range(levels):
             h = self.enc_convs[i].forward(h)
             skips.append(h)
             if gpool:
-                h, idx = self.pools[i].forward(h)
-                selections.append(selection_matrix(idx, NODE_SCHEDULE[i]))
+                h, selections[i] = self.pools[i].forward(h)
             else:
                 h = self.pools[i].forward(h)
         h = self.bottleneck.forward(h)

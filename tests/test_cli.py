@@ -91,6 +91,14 @@ def test_gen_bad_output_path_exits_2_before_generating(tmp_path, monkeypatch, ca
     assert calls == []
 
 
+def test_gen_file_name_too_long_exits_2(tmp_path, capsys):
+    out = tmp_path / ("x" * 300 + ".jsonl")
+    assert main(["gen", "--n", "2", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error")
+    assert "Traceback" not in err
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     out = tmp_path / "x.jsonl"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -406,6 +414,24 @@ def test_ablate_writes_tables_deterministically(dataset, tmp_path):
     for name in ("pooling_runs.csv", "pooling_summary.csv"):
         assert filecmp.cmp(os.path.join(d1, name), os.path.join(d2, name),
                            shallow=False)
+
+
+def test_every_derived_csv_is_lf_terminated(dataset, tmp_path):
+    ck = str(tmp_path / "ck")
+    assert main(["train", "--data", dataset, "--out-ckpt", ck, "--stage-epochs", "1,1,1",
+                 "--batch-size", "16", "--seed", "0"]) == 0
+    assert main(["eval", "--data", dataset, "--ckpt", ck,
+                 "--report", str(tmp_path / "rep")]) == 0
+    assert main(["export-adjacency", "--ckpt", ck, "--out-dir", str(tmp_path / "adj")]) == 0
+    assert main(["ablate", "--suite", "pooling", "--data", dataset, "--seeds", "0",
+                 "--epochs", "1", "--batch-size", "16", "--widths", "4,8,8,16",
+                 "--out-dir", str(tmp_path / "abl")]) == 0
+    written = sorted(tmp_path.rglob("*.csv"))
+    # the log, 6 eval reports, 11 adjacency kernels and 2 ablation tables
+    assert len(written) == 20
+    for path in written:
+        data = path.read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, path.name
 
 
 def test_ablate_out_dir_that_is_a_file_exits_2(dataset, tmp_path, capsys):

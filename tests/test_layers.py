@@ -222,8 +222,8 @@ def test_gpool_selects_top_scores():
     x = Tensor(np.array([[1.0, 9.0], [3.0, 9.0], [2.0, 9.0], [0.5, 9.0]]))
     layer = GPoolLayer(4, 2, 2, np.random.default_rng(0))
     layer.p.data[...] = [[1.0], [0.0]]
-    pooled, idx = layer.forward(x)
-    np.testing.assert_array_equal(idx, [1, 2])
+    pooled, s = layer.forward(x)
+    np.testing.assert_array_equal(s.argmax(-1), [1, 2])
     # rows come back gated by sigmoid(score)
     sig = 1 / (1 + np.exp(-np.array([3.0, 2.0])))
     np.testing.assert_allclose(pooled.data, x.data[[1, 2]] * sig[:, None])
@@ -233,8 +233,8 @@ def test_gpool_tie_breaks_to_lowest_index():
     x = Tensor(np.array([[2.0], [2.0], [2.0], [1.0]]))
     layer = GPoolLayer(4, 2, 1, np.random.default_rng(0))
     layer.p.data[...] = 1.0
-    _, idx = layer.forward(x)
-    np.testing.assert_array_equal(idx, [0, 1])
+    _, s = layer.forward(x)
+    np.testing.assert_array_equal(s.argmax(-1), [0, 1])
 
 
 def test_gpool_keep_count_guard():
@@ -255,9 +255,9 @@ def test_gpool_permutation_consistency():
     x = rng.normal(size=(8, 3))
     layer = GPoolLayer(8, 4, 3, np.random.default_rng(0))
     layer.p.data[...] = rng.normal(size=(3, 1))
-    _, idx = layer.forward(Tensor(x))
+    idx = layer.forward(Tensor(x))[1].argmax(-1)
     perm = rng.permutation(8)
-    _, idx_p = layer.forward(Tensor(x[perm]))
+    idx_p = layer.forward(Tensor(x[perm]))[1].argmax(-1)
     # the same underlying nodes win under any row ordering
     assert set(perm[idx_p]) == set(idx)
 

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from graphlift import outputs
@@ -50,7 +51,8 @@ def test_partial_writes_are_completed(tmp_path, monkeypatch):
     assert path.read_text() == text
 
 
-def test_csv_rows_keep_crlf_terminators(tmp_path):
+def test_csv_rows_are_lf_terminated(tmp_path):
     path = tmp_path / "t.csv"
-    rewrite_csv(path, [["threshold", "fraction"], ["0.5", "1.0"], ["a,b", 3]])
-    assert path.read_bytes() == b'threshold,fraction\r\n0.5,1.0\r\n"a,b",3\r\n'
+    rewrite_csv(path, [["threshold", "fraction"], ["0.5", "1.0"], ["a,b", 3],
+                       [None, np.float64(0.1)]])
+    assert path.read_bytes() == b'threshold,fraction\n0.5,1.0\n"a,b",3\n,0.1\n'

@@ -106,6 +106,10 @@ def test_training_log_columns_and_blanks(tmp_path):
     assert rows[0] == list(LOG_COLUMNS)
     assert rows[1] == ["1", "1", "0.001", "2.0", "3.0", "", "0.5"]
     assert rows[2] == ["2", "2", "0.001", "", "", "7.25", "7.25"]
+    assert (tmp_path / "log.csv").read_bytes() == (
+        b"step,stage,lr,loss_init2d,loss_2d,loss_3d,total\n"
+        b"1,1,0.001,2.0,3.0,,0.5\n"
+        b"2,2,0.001,,,7.25,7.25\n")
     np.testing.assert_array_equal(log.totals(1), [0.5])
     np.testing.assert_array_equal(log.totals(2), [7.25])
     np.testing.assert_array_equal(log.totals(), [0.5, 7.25])
