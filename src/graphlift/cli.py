@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: gen, train, eval, ablate, gradcheck, export-adjacency.
-Every command is deterministic under its --seed.  Exit codes: 0 success,
-1 usage problem, 2 bad or missing data, 3 numeric failure (divergence or
-a failed gradient check).  Set GRAPHLIFT_VERBOSE=0 to silence progress
-lines; errors always go to stderr.
+Every command is deterministic under its --seed, and opens each file it
+will write before any work.  Exit codes: 0 success, 2 bad or missing data
+or an unwritable output, 3 numeric failure (divergence or a failed
+gradient check), 1 every other graphlift error (a usage problem).  Set
+GRAPHLIFT_VERBOSE=0 to silence progress lines; errors always go to stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .ablation import AblationConfig, SUITES, run_ablation, write_runs_csv, writ
 from .checkpoint import blob_path, manifest_path
 from .errors import (
     CheckpointFormatError, DatasetFormatError, DegenerateGeometryError,
-    DomainError, NumericError, TrainingDiverged, UsageError,
+    DomainError, GraphLiftError, NumericError, TrainingDiverged,
 )
 from .gradcheck import TOLERANCE, grad_check
 from .layers import AdaptiveGraphConvLayer, GPoolLayer, NodeMap, partition_matrix, uniform_init
@@ -52,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems through our exit-code scheme."""
 
     def error(self, message):
-        raise UsageError(message)
+        raise DomainError(message)
 
 
 def _seed(text: str) -> int:
@@ -75,7 +76,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    g = sub.add_parser("gen", parents=[], help="generate a synthetic dataset",
+    g = sub.add_parser("gen", help="generate a synthetic dataset",
                        description="Write n synthetic hand+box samples as JSON lines.")
     g.add_argument("--n", type=int, required=True, help="number of samples")
     g.add_argument("--seed", type=_seed, default=0, help="dataset seed (default 0)")
@@ -147,26 +148,28 @@ def _build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
-    _check_output_file(args.out)
+    _check_output_files([args.out])
     records = generate_dataset(args.n, args.seed)
     save_dataset(args.out, records)
     _info(f"wrote {len(records)} samples to {args.out}")
     return 0
 
 
-def _check_output_file(path: str) -> None:
-    """Raise, before any work, the error that writing the file `path` would raise."""
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        raise NotADirectoryError(f"cannot write {path}: {parent} is not a directory")
-    if os.path.isdir(path):
-        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+def _check_output_files(paths) -> None:
+    """Raise, before any work, the OSError that writing one of `paths` would
+    raise: open each as its writer does, without truncating it, and remove
+    a file that only this check created."""
+    for path in paths:
+        existed = os.path.lexists(path)
+        open(path, "ab").close()
+        if not existed:
+            os.remove(path)
 
 
 def _require_distinct(paths, message: str) -> None:
     """A usage error when two of `paths` name one file (through links too)."""
     if len({os.path.realpath(p) for p in paths}) < len(paths):
-        raise UsageError(message)
+        raise DomainError(message)
 
 
 def cmd_train(args) -> int:
@@ -180,8 +183,7 @@ def cmd_train(args) -> int:
                          seed=args.seed)
     records = load_dataset(args.data)
     os.makedirs(os.path.dirname(os.path.abspath(args.out_ckpt)), exist_ok=True)
-    for path in outputs:
-        _check_output_file(path)
+    _check_output_files(outputs)
     pipeline = HopePipeline(PipelineConfig(), seed=args.seed)
     try:
         log = train_pipeline(pipeline, records, config)
@@ -210,6 +212,8 @@ def cmd_eval(args) -> int:
     records = load_dataset(args.data)
     model = load_model(args.ckpt)
     os.makedirs(args.report, exist_ok=True)
+    _check_output_files(path for name, path in out.items()
+                        if name != "curve_2d" or isinstance(model, HopePipeline))
     gt2d, gt3d = records_to_arrays(records)
     thresholds = default_thresholds()
     summary: list[tuple[str, float]] = []
@@ -253,11 +257,12 @@ def cmd_ablate(args) -> int:
     _require_distinct([args.data, runs_csv, summary_csv],
                       f"--data must not be {runs_csv} or {summary_csv}")
     if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+        raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
     config = AblationConfig(epochs=args.epochs, batch_size=args.batch_size,
                             unet_widths=args.widths)
     records = load_dataset(args.data)
     os.makedirs(args.out_dir, exist_ok=True)
+    _check_output_files([runs_csv, summary_csv])
     runs = run_ablation(args.suite, records, args.seeds, config, jobs=args.jobs)
     write_runs_csv(runs, runs_csv)
     write_summary_csv(runs, summary_csv)
@@ -328,7 +333,7 @@ def _gradcheck_cases(target: str, seed: int):
 
         cases.append(("pipeline", loss, pipe.parameters()))
     else:
-        raise UsageError(f"unknown gradcheck target {target!r}")
+        raise DomainError(f"unknown gradcheck target {target!r}")
     return cases
 
 
@@ -350,15 +355,16 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_export_adjacency(args) -> int:
     # load_model checks every name and shape against the checkpoint's config
-    adaptive = {k: p.data for k, p in load_model(args.ckpt).parameters().items()
-                if k.endswith(".A")}
-    if not adaptive:
+    kernels = {os.path.join(args.out_dir, k.replace(".", "_") + ".csv"): p.data
+               for k, p in sorted(load_model(args.ckpt).parameters().items())
+               if k.endswith(".A")}
+    if not kernels:
         raise DomainError("checkpoint has no adaptive adjacency kernels")
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, a in sorted(adaptive.items()):
-        path = os.path.join(args.out_dir, name.replace(".", "_") + ".csv")
+    _check_output_files(kernels)
+    for path, a in kernels.items():
         rewrite_csv(path, [(a.shape[0],), *a.tolist()])
-    _info(f"exported {len(adaptive)} adjacency kernels to {args.out_dir}")
+    _info(f"exported {len(kernels)} adjacency kernels to {args.out_dir}")
     return 0
 
 
@@ -370,9 +376,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
     except (DatasetFormatError, CheckpointFormatError, DegenerateGeometryError,
             OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
@@ -380,10 +383,6 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3
-    except DomainError as e:
+    except GraphLiftError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

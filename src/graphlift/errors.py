@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Everything raised on purpose derives from GraphLiftError so callers can
-catch one base class.  The CLI maps subtrees to exit codes: usage problems
-exit 1, bad input data exits 2, numeric failures exit 3.
+catch one base class.  The CLI maps subtrees to exit codes: bad input data
+exits 2, numeric failures exit 3, and every other graphlift error exits 1
+as a usage error.
 """
 
 
@@ -10,16 +11,13 @@ class GraphLiftError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class UsageError(GraphLiftError):
-    """Bad command-line arguments or an unusable combination of options."""
-
-
 class DimensionError(GraphLiftError):
     """Operands have incompatible shapes."""
 
 
 class DomainError(GraphLiftError):
-    """An argument value is outside the range the operation accepts."""
+    """An argument value is outside the range the operation accepts, or an
+    unusable combination of command-line options."""
 
 
 class NumericError(GraphLiftError):

@@ -183,7 +183,6 @@ class GPoolLayer:
         self.p = Tensor(uniform_init(rng, (features, 1), features), requires_grad=True, name="p")
         self.n_in = n_in
         self.n_out = n_out
-        self.features = features
 
     def forward(self, x: Tensor) -> tuple[Tensor, np.ndarray]:
         if x.ndim not in (2, 3) or x.shape[-2] != self.n_in:

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError
 from .tensor import Tensor
 
 __all__ = ["Adam"]
@@ -54,7 +54,7 @@ class Adam:
 
     State is keyed by parameter name, so one instance must be reused for
     the whole run.  Every parameter must carry an accumulated gradient (a
-    missing one is a usage error, raised before anything is updated);
+    missing one raises DomainError before anything is updated);
     gradients are zeroed after the update.
 
     step() runs the paper's Sec. 2 order: the bias corrections fold into
@@ -108,8 +108,8 @@ class Adam:
             raise DomainError(f"learning rate must be positive, got {lr}")
         for k, p in self.params.items():
             if p.grad is None:
-                raise UsageError(f"Adam.step: parameter {k} has no gradient; "
-                                 "run backward() first")
+                raise DomainError(f"Adam.step: parameter {k} has no gradient; "
+                                  "run backward() first")
         self.t += 1
         c2 = math.sqrt((1.0 - _BETA2 ** self.t) / (1.0 - _BETA2))
         alpha = lr * (1.0 - _BETA1) / (1.0 - _BETA1 ** self.t) * c2

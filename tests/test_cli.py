@@ -14,6 +14,7 @@ import pytest
 from graphlift import ablation, cli
 from graphlift.checkpoint import load_checkpoint, save_checkpoint
 from graphlift.cli import main
+from graphlift.errors import GraphLiftError
 from graphlift.metrics import PcpCurve, auc
 from graphlift.keypoints import NODE_NAMES
 from graphlift.models import FcBaselineModel, load_model, save_model
@@ -91,12 +92,16 @@ def test_gen_bad_output_path_exits_2_before_generating(tmp_path, monkeypatch, ca
     assert calls == []
 
 
-def test_gen_file_name_too_long_exits_2(tmp_path, capsys):
+def test_gen_file_name_too_long_exits_2(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "generate_dataset", lambda *args: calls.append(args) or [])
     out = tmp_path / ("x" * 300 + ".jsonl")
     assert main(["gen", "--n", "2", "--seed", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error")
     assert "Traceback" not in err
+    assert calls == []
+    assert not os.listdir(tmp_path)
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -203,8 +208,9 @@ def test_train_divergence_exits_3_with_last_good_state(dataset, tmp_path, capsys
 
 
 @pytest.mark.parametrize("out_ckpt, log", [
-    ("ck", "nodir/x/log.csv"), ("ck", "adir"), ("afile/ck", None),
-], ids=["log directory missing", "log is a directory", "checkpoint parent is a file"])
+    ("ck", "nodir/x/log.csv"), ("ck", "adir"), ("afile/ck", None), ("x" * 300, None),
+], ids=["log directory missing", "log is a directory", "checkpoint parent is a file",
+        "checkpoint name too long"])
 def test_train_bad_output_path_exits_2_before_training(
         dataset, tmp_path, monkeypatch, capsys, out_ckpt, log):
     calls = []
@@ -219,7 +225,7 @@ def test_train_bad_output_path_exits_2_before_training(
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("data error")
     assert calls == []
-    assert not [p for p in tmp_path.rglob("*") if p.suffix in (".json", ".bin")]
+    assert sorted(os.listdir(tmp_path)) == ["adir", "afile"]
 
 
 @pytest.mark.parametrize("log", ["ck.json", "./ck.bin", "{data}"],
@@ -336,6 +342,16 @@ def test_eval_report_path_that_is_a_file_exits_2(trained, dataset, tmp_path, cap
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("report", ["per_joint", "summary"])
+def test_eval_report_that_is_a_directory_exits_2_and_writes_no_report(
+        trained, dataset, tmp_path, capsys, report):
+    rep = tmp_path / "rep"
+    (rep / f"{report}.csv").mkdir(parents=True)
+    assert main(["eval", "--data", dataset, "--ckpt", trained, "--report", str(rep)]) == 2
+    assert capsys.readouterr().err.startswith("data error")
+    assert os.listdir(rep) == [f"{report}.csv"]
+
+
 def test_eval_data_that_is_a_report_file_exits_1_before_reading(
         trained, dataset, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -353,9 +369,11 @@ def test_eval_data_that_is_a_report_file_exits_1_before_reading(
 def test_eval_unet_checkpoint_writes_3d_curves_over_the_fixed_sweep(
         unet_ckpt, dataset, tmp_path):
     report = str(tmp_path / "report")
+    # 2D refinement metrics only exist for the full cascade, so eval neither
+    # writes nor checks curve_2d.csv
+    os.makedirs(os.path.join(report, "curve_2d.csv"))
     assert main(["eval", "--data", dataset, "--ckpt", unet_ckpt, "--report", report]) == 0
-    # 2D refinement metrics only exist for the full cascade
-    assert not os.path.exists(os.path.join(report, "curve_2d.csv"))
+    assert not os.listdir(os.path.join(report, "curve_2d.csv"))
     for name in ("curve_3d", "curve_3d_hand", "curve_3d_object"):
         curve = read_curve(os.path.join(report, name + ".csv"))
         np.testing.assert_array_equal(curve.thresholds, np.linspace(0.0, 50.0, 51))
@@ -443,6 +461,20 @@ def test_ablate_out_dir_that_is_a_file_exits_2(dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("table", ["pooling_runs.csv", "pooling_summary.csv"])
+def test_ablate_table_that_is_a_directory_exits_2_before_any_cell(
+        dataset, tmp_path, monkeypatch, capsys, table):
+    cells = []
+    monkeypatch.setattr(ablation, "run_one", lambda *args: cells.append(args))
+    out = tmp_path / "r"
+    (out / table).mkdir(parents=True)
+    assert main(["ablate", "--suite", "pooling", "--data", dataset, "--out-dir", str(out),
+                 "--seeds", "0", "--epochs", "1", "--widths", "4,8,8,16"]) == 2
+    assert capsys.readouterr().err.startswith("data error")
+    assert cells == []
+    assert os.listdir(out) == [table]
+
+
+@pytest.mark.parametrize("table", ["pooling_runs.csv", "pooling_summary.csv"])
 def test_ablate_data_that_is_an_output_table_exits_1_before_any_cell(
         dataset, tmp_path, monkeypatch, capsys, table):
     trained = []
@@ -508,6 +540,29 @@ def test_gradcheck_layers_passes(capsys):
     assert "overall max relative error" in out
 
 
+def _error_classes(cls=GraphLiftError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+# The documented exit code and stderr prefix of each error; any other
+# graphlift error is a usage error.
+EXIT_CODES = {"DatasetFormatError": (2, "data error"), "CheckpointFormatError": (2, "data error"),
+              "DegenerateGeometryError": (2, "data error"),
+              "NumericError": (3, "numeric error"), "TrainingDiverged": (3, "numeric error")}
+
+
+@pytest.mark.parametrize("error", list(_error_classes()), ids=lambda c: c.__name__)
+def test_every_graphlift_error_exits_with_its_documented_code(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("what went wrong")
+    monkeypatch.setattr(cli, "cmd_gradcheck", fail)
+    code, prefix = EXIT_CODES.get(error.__name__, (1, "usage error"))
+    assert main(["gradcheck"]) == code
+    assert capsys.readouterr().err == f"{prefix}: what went wrong\n"
+
+
 # ---- export-adjacency ---------------------------------------------------------
 
 
@@ -543,6 +598,15 @@ def test_export_adjacency_rejects_a_kernel_of_the_wrong_shape(unet_ckpt, tmp_pat
     assert main(["export-adjacency", "--ckpt", base, "--out-dir", out]) == 2
     assert "enc0.A" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_export_adjacency_file_that_is_a_directory_exits_2_and_writes_no_csv(
+        trained, tmp_path, capsys):
+    out = tmp_path / "adj"
+    (out / "unet_final_A.csv").mkdir(parents=True)
+    assert main(["export-adjacency", "--ckpt", trained, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("data error")
+    assert os.listdir(out) == ["unet_final_A.csv"]
 
 
 def test_export_adjacency_requires_adaptive_layers(tmp_path):

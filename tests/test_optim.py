@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from graphlift import optim
-from graphlift.errors import DomainError, UsageError
+from graphlift.errors import DomainError
 from graphlift.optim import Adam
 from graphlift.pipeline import HopePipeline, PipelineConfig
 from graphlift.tensor import Tensor
@@ -39,7 +39,7 @@ def test_adam_missing_grad_and_bad_lr():
     opt = Adam({"a": a, "b": b})
     a.grad = np.array([0.5, -0.5])
     # b has no gradient, so the step raises before it updates a
-    with pytest.raises(UsageError):
+    with pytest.raises(DomainError, match="no gradient"):
         opt.step(0.1)
     b.grad = np.array([1.0])
     for lr in (0.0, -0.1, float("nan")):

@@ -1,5 +1,6 @@
-"""Package hygiene: every name a module exports in __all__ exists, and
-every name a module imports is read."""
+"""Package hygiene: every name a module exports in __all__ exists, every
+name a module imports is read, and every file parses as the oldest Python
+the package declares."""
 
 import ast
 import importlib
@@ -85,3 +86,10 @@ def test_every_public_name_has_a_user_outside_the_tests():
         unused += [f"{name}.{n}" for n in getattr(module, "__all__", ())
                    if n not in others and n not in own]
     assert not unused, f"public names no module or benchmark uses: {unused}"
+
+
+def test_every_python_file_parses_as_python_3_10():
+    root = Path(__file__).parent.parent
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text()
+    for path in sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
