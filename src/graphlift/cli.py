@@ -166,6 +166,25 @@ def _check_output_files(paths) -> None:
             os.remove(path)
 
 
+def _make_output_dir(directory: str, paths) -> None:
+    """Make `directory` and its missing parents, then run
+    _check_output_files(paths).  If either raises, remove the directory
+    levels this call made, deepest first, and re-raise, so a command that
+    fails its write check leaves no new directory behind."""
+    made, level = [], os.path.abspath(directory)
+    while not os.path.lexists(level):
+        made.append(level)
+        level = os.path.dirname(level)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        _check_output_files(paths)
+    except OSError:
+        for level in made:
+            if os.path.isdir(level):
+                os.rmdir(level)
+        raise
+
+
 def _require_distinct(paths, message: str) -> None:
     """A usage error when two of `paths` name one file (through links too)."""
     if len({os.path.realpath(p) for p in paths}) < len(paths):
@@ -182,8 +201,7 @@ def cmd_train(args) -> int:
                          batch_size=args.batch_size, noise_sigma=args.noise_sigma,
                          seed=args.seed)
     records = load_dataset(args.data)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out_ckpt)), exist_ok=True)
-    _check_output_files(outputs)
+    _make_output_dir(os.path.dirname(os.path.abspath(args.out_ckpt)), outputs)
     pipeline = HopePipeline(PipelineConfig(), seed=args.seed)
     try:
         log = train_pipeline(pipeline, records, config)
@@ -211,9 +229,8 @@ def cmd_eval(args) -> int:
                       f"--data must not be one of the report files eval writes to {args.report}")
     records = load_dataset(args.data)
     model = load_model(args.ckpt)
-    os.makedirs(args.report, exist_ok=True)
-    _check_output_files(path for name, path in out.items()
-                        if name != "curve_2d" or isinstance(model, HopePipeline))
+    _make_output_dir(args.report, (path for name, path in out.items()
+                                   if name != "curve_2d" or isinstance(model, HopePipeline)))
     gt2d, gt3d = records_to_arrays(records)
     thresholds = default_thresholds()
     summary: list[tuple[str, float]] = []
@@ -261,8 +278,7 @@ def cmd_ablate(args) -> int:
     config = AblationConfig(epochs=args.epochs, batch_size=args.batch_size,
                             unet_widths=args.widths)
     records = load_dataset(args.data)
-    os.makedirs(args.out_dir, exist_ok=True)
-    _check_output_files([runs_csv, summary_csv])
+    _make_output_dir(args.out_dir, [runs_csv, summary_csv])
     runs = run_ablation(args.suite, records, args.seeds, config, jobs=args.jobs)
     write_runs_csv(runs, runs_csv)
     write_summary_csv(runs, summary_csv)
@@ -360,8 +376,7 @@ def cmd_export_adjacency(args) -> int:
                if k.endswith(".A")}
     if not kernels:
         raise DomainError("checkpoint has no adaptive adjacency kernels")
-    os.makedirs(args.out_dir, exist_ok=True)
-    _check_output_files(kernels)
+    _make_output_dir(args.out_dir, kernels)
     for path, a in kernels.items():
         rewrite_csv(path, [(a.shape[0],), *a.tolist()])
     _info(f"exported {len(kernels)} adjacency kernels to {args.out_dir}")

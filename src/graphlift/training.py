@@ -14,6 +14,7 @@ decay trajectory keeps its shape.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
 from dataclasses import dataclass
@@ -102,6 +103,26 @@ class TrainingLog:
         rewrite_csv(path, [LOG_COLUMNS, *self.rows])
 
 
+def _keep_freed_heap() -> None:
+    """Keep memory a freed tape returns in the heap, so the next step's
+    forward reuses it instead of faulting fresh pages in.
+
+    Sets glibc's mmap threshold, then its trim threshold, both or neither:
+    the trim threshold alone would turn off glibc's dynamic mmap threshold
+    and send every array of 128 KiB or more through mmap and munmap again.
+    The setting is process-wide and lasts for the rest of the process.  A
+    no-op where libc has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    for param, value in ((-3, 32 << 20),      # M_MMAP_THRESHOLD: glibc's 64-bit ceiling
+                         (-1, 256 << 20)):    # M_TRIM_THRESHOLD
+        if not mallopt(param, value):         # refused: set nothing more
+            return
+
+
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(n)
     for lo in range(0, n, batch_size):
@@ -121,11 +142,13 @@ def _run_stage(log: TrainingLog, stage: int, params, loss_fn, n: int,
     A NumericError while building the batch (non-finite inputs) ends the
     stage the same way.
     on_step(step, params) runs right after each backward pass, before
-    the optimizer update.
+    the optimizer update.  Each step's tape is dropped once its log row
+    is written, before the next batch's forward.
     """
     epochs = config.stage_epochs[stage - 1]
     if epochs == 0:
         return
+    _keep_freed_heap()
     opt = Adam(params)
     lr0, factor, period = stage_schedule(stage, epochs, math.ceil(n / config.batch_size),
                                          config.preset == "paper")
@@ -154,6 +177,7 @@ def _run_stage(log: TrainingLog, stage: int, params, loss_fn, n: int,
             t += 1
             log.add(step, stage, lr, total=value,
                     **{c: v.item() for c, v in columns.items()})
+            del loss, columns
 
 
 def _stage2_loss(model, gt2d: np.ndarray, gt3d: np.ndarray, config: TrainConfig):

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from graphlift import ablation, cli
+from graphlift import ablation, cli, training
 from graphlift.checkpoint import load_checkpoint, save_checkpoint
 from graphlift.cli import main
 from graphlift.errors import GraphLiftError
@@ -209,8 +209,9 @@ def test_train_divergence_exits_3_with_last_good_state(dataset, tmp_path, capsys
 
 @pytest.mark.parametrize("out_ckpt, log", [
     ("ck", "nodir/x/log.csv"), ("ck", "adir"), ("afile/ck", None), ("x" * 300, None),
+    ("new/deeper/ck", "missing/log.csv"),
 ], ids=["log directory missing", "log is a directory", "checkpoint parent is a file",
-        "checkpoint name too long"])
+        "checkpoint name too long", "new checkpoint directory, log directory missing"])
 def test_train_bad_output_path_exits_2_before_training(
         dataset, tmp_path, monkeypatch, capsys, out_ckpt, log):
     calls = []
@@ -244,6 +245,20 @@ def test_train_log_onto_the_checkpoint_or_the_data_exits_1_before_training(
     assert calls == []
     assert os.listdir(tmp_path) == ["data.jsonl"]
     assert (tmp_path / "data.jsonl").read_bytes() == data
+
+
+def test_only_training_sets_the_heap(dataset, unet_ckpt, tmp_path, monkeypatch):
+    # the glibc thresholds last for the rest of the process: gen and eval,
+    # which train nothing, must never set them
+    calls = []
+    monkeypatch.setattr(training, "_keep_freed_heap", lambda: calls.append(1))
+    assert main(["gen", "--n", "4", "--seed", "1", "--out", str(tmp_path / "d.jsonl")]) == 0
+    assert main(["eval", "--data", dataset, "--ckpt", unet_ckpt,
+                 "--report", str(tmp_path / "rep")]) == 0
+    assert calls == []
+    assert main(["train", "--data", dataset, "--out-ckpt", str(tmp_path / "ck"),
+                 "--stage-epochs", "1,0,1", "--batch-size", "16"]) == 0
+    assert len(calls) == 2                      # once per stage that takes a step
 
 
 def test_train_creates_missing_checkpoint_directory(dataset, tmp_path, monkeypatch):

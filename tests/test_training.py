@@ -2,12 +2,19 @@
 divergence contract."""
 
 import csv
+import ctypes
+import gc
+import platform
+import resource
 import tracemalloc
+import types
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from graphlift import training
 from graphlift.errors import DomainError, TrainingDiverged
 from graphlift.pipeline import HopePipeline, PipelineConfig, hope_loss_terms
 from graphlift.synth import generate_dataset
@@ -222,6 +229,111 @@ def test_train_deterministic(records):
 def test_train_rejects_empty():
     with pytest.raises(DomainError):
         train(HopePipeline(SMALL_PIPE, seed=0), [])
+
+
+# ---- tape and heap ----------------------------------------------------------
+
+
+def _intermediates(roots):
+    """Every recorded-op result reachable from `roots` (parameters and
+    constants have no edges)."""
+    seen, stack = {}, list(roots)
+    while stack:
+        t = stack.pop()
+        if t._edges and id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(p for p, _ in t._edges)
+    return seen.values()
+
+
+def test_no_tape_outlives_its_step(records, monkeypatch):
+    """By the next batch's forward, nothing the previous step recorded is
+    alive: every intermediate array of its tape has been freed, without
+    help from the cycle collector."""
+    run_stage, steps = training._run_stage, []
+
+    def watched_stage(log, stage, params, loss_fn, n, config, on_step=None):
+        def watched(idx):
+            if steps:
+                alive = [r for r in steps[-1] if r() is not None]
+                assert not alive, f"{len(alive)} arrays of step {len(steps)} outlive it"
+            loss, columns = loss_fn(idx)
+            steps.append([weakref.ref(t.data)
+                          for t in _intermediates([loss, *columns.values()])
+                          if isinstance(t.data, np.ndarray)])   # not numpy scalars
+            return loss, columns
+        run_stage(log, stage, params, watched, n, config, on_step)
+
+    monkeypatch.setattr(training, "_run_stage", watched_stage)
+    gc.disable()
+    try:
+        log = train(HopePipeline(SMALL_PIPE, seed=3), records,
+                    TrainConfig(stage_epochs=(2, 2, 2), batch_size=16))
+    finally:
+        gc.enable()
+    assert len(steps) == len(log.rows) == 12
+    assert all(len(refs) > 10 for refs in steps)
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not _has_mallopt(),
+                    reason="the heap setting is glibc's mallopt")
+def test_training_steps_take_no_page_faults_after_the_first_epoch():
+    """A freed tape's memory stays in the heap for the next step: once the
+    first epoch has sized the heap, steps fault in almost no fresh pages."""
+    recs = generate_dataset(320, seed=1)
+    mean_faults = {}
+    for pooling in ("trainable", "gpool", "fixed"):
+        model = GraphUNetModel(UNetConfig(feature_schedule=(16, 32, 64, 128),
+                                          pooling=pooling), seed=0)
+        faults = []
+        train_unet_stage2(model, recs, epochs=6, batch_size=64, seed=0,
+                          on_step=lambda step, params: faults.append(
+                              resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+        per_step = np.diff(faults[4:])          # 5 steps per epoch
+        assert per_step.size == 25
+        mean_faults[pooling] = per_step.mean()
+    assert all(f < 50 for f in mean_faults.values()), mean_faults
+
+
+def _refusing_mallopt(calls):
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 0
+    return types.SimpleNamespace(mallopt=mallopt)
+
+
+def _no_libc(calls):
+    raise OSError("no libc here")
+
+
+@pytest.mark.parametrize("cdll, expected_calls", [
+    (_no_libc, []),
+    (lambda calls: types.SimpleNamespace(), []),
+    # a refused mmap threshold leaves the trim threshold alone
+    (_refusing_mallopt, [(-3, 32 << 20)]),
+], ids=["no libc", "no mallopt", "mallopt refuses"])
+def test_training_without_the_heap_setting_is_unchanged(records, monkeypatch, cdll,
+                                                        expected_calls):
+    def run():
+        model = GraphUNetModel(SMALL_UNET, seed=2)
+        log = train_unet_stage2(model, records, epochs=3, batch_size=8, seed=4)
+        return {k: p.data.tobytes() for k, p in model.parameters().items()}, log.rows
+
+    with_setting = run()
+    lookups, calls = [], []
+    monkeypatch.setattr(training.ctypes, "CDLL",
+                        lambda name: lookups.append(name) or cdll(calls))
+    assert run() == with_setting
+    assert lookups == [None]
+    assert calls == expected_calls
 
 
 # ---- divergence -------------------------------------------------------------
